@@ -27,8 +27,9 @@
 // the quadratic "before" side is already seconds.
 //
 // A fifth report (default BENCH_5.json) is the deep-queue family: the
-// indexed pending-queue layer (internal/queue) against the slice-order
-// protocol. Fixed-shape no-fit pass micros (queue=20000, identical in
+// indexed pending-queue layer (internal/queue) against the sequential
+// one-start-per-call protocol over the order's slice. Fixed-shape no-fit
+// pass micros (queue=20000, identical in
 // quick and full mode, so bench-compare can track them) measure one
 // scheduling pass over a queue nothing in which fits; full mode adds
 // the same micros at queue=100000 and end-to-end 100k-queued cells for
@@ -209,10 +210,10 @@ func main() {
 		Schema:     "jobsched-bench/v5-deep-queue",
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Note: "deep-queue family (indexed pending-queue layer): before = slice-order " +
-			"batched protocol (FCFS/Garey&Graham) or the sequential one-start-per-pass " +
-			"protocol (PSRS/SMART, their pre-index state), both live; after = queue.Index " +
-			"passes with width-pruned scans, O(1) no-fit prechecks and epoch-window batching",
+		Note: "deep-queue family (indexed pending-queue layer): before = the sequential " +
+			"one-start-per-call protocol over the order's slice (the path wrapped start " +
+			"policies take), live; after = queue.Index passes with width-pruned scans, " +
+			"O(1) no-fit prechecks and epoch-window batching",
 	}
 	rep5.Entries = queueEntries(*quick)
 	emit(rep5, *out5)
@@ -548,6 +549,18 @@ func telemetryEntries(quick bool) []Entry {
 	return []Entry{off, cnt, jl}
 }
 
+// passThroughStarter forwards only Name and Pick, so sched.Compose sees
+// no batched pass behind it and selects the one-start-per-call protocol
+// — the same path the production admission wrappers take.
+type passThroughStarter struct{ sched.Starter }
+
+// sequentialPasses re-composes alg with its start policy behind
+// passThroughStarter: the sequential "before" side of the sched benches.
+// Config (profile factory included) was applied by sched.New already.
+func sequentialPasses(alg *sched.Composite) *sched.Composite {
+	return sched.WrapStarter(alg, func(s sched.Starter) sched.Starter { return passThroughStarter{s} })
+}
+
 // deepEntries is the BENCH_3.json family: profile queries and whole
 // scheduling passes at deep-backlog scale, tree kernel + batched passes
 // (after) against the array skip-ahead kernel + sequential protocol
@@ -656,7 +669,9 @@ func deepEntries(quick bool) []Entry {
 				if err != nil {
 					b.Fatal(err)
 				}
-				alg.SetSequentialPasses(sequential)
+				if sequential {
+					alg = sequentialPasses(alg)
+				}
 				res, err := sim.Run(sim.Machine{Nodes: 256}, deepJobs(), alg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
@@ -685,7 +700,7 @@ func deepEntries(quick bool) []Entry {
 				c.name, mkAfter, mkBefore))
 		}
 		e := entry(fmt.Sprintf("sched/DeepBacklogPass/jobs=%d/%s", jobs, c.name),
-			"sequential-passes-live", before, after)
+			"sequential-slice-live", before, after)
 		e.Metrics = map[string]float64{"makespan_s": float64(mkAfter)}
 		schedEntries = append(schedEntries, e)
 	}
@@ -694,7 +709,7 @@ func deepEntries(quick bool) []Entry {
 }
 
 // queueEntries is the BENCH_5.json family: the indexed pending-queue
-// layer against the slice-order protocol. The no-fit pass micros run at
+// layer against the sequential slice protocol. The no-fit pass micros run at
 // a fixed queue=20000 in both quick and full mode — shape-invariant, so
 // bench-compare can track them across commits — and full mode adds the
 // same micros at queue=100000 plus the end-to-end deep-queue grid.
@@ -708,21 +723,23 @@ func queueEntries(quick bool) []Entry {
 
 // queuePassMicros measures ONE scheduling pass over a deep queue in
 // which nothing fits the free nodes — the saturated-machine state a deep
-// backlog spends most of its time in. The slice protocol pays O(Q) per
-// pass (the Garey&Graham scan, the EASY backfill scan, the conservative
-// fits precheck); the index answers the same pass in O(log Q) cursor
+// backlog spends most of its time in. The sequential slice protocol pays
+// O(Q) per pass (the Garey&Graham scan, the EASY backfill scan, the
+// conservative fits precheck); the index answers the same pass in O(log Q) cursor
 // descents (or one O(1) subtree-minimum lookup). Zero jobs start, so the
 // pass is repeatable without rebuilding state between iterations.
 func queuePassMicros(queueLen int) []Entry {
 	const machine = 256
 	const free = 8
 
-	mk := func(o sched.OrderName, s sched.StartName, indexed bool) *sched.Composite {
+	mk := func(o sched.OrderName, s sched.StartName, sequential bool) *sched.Composite {
 		alg, err := sched.New(o, s, sched.Config{MachineNodes: machine})
 		if err != nil {
 			fatal(err)
 		}
-		alg.SetIndexedQueue(indexed)
+		if sequential {
+			alg = sequentialPasses(alg)
+		}
 		for i := 0; i < queueLen; i++ {
 			alg.Submit(&job.Job{ID: job.ID(i), Submit: 0,
 				Nodes:    9 + (i*13)%(machine-8), // everything wider than free=8
@@ -761,10 +778,10 @@ func queuePassMicros(queueLen int) []Entry {
 	}
 	var entries []Entry
 	for _, c := range cells {
-		before := testing.Benchmark(pass(mk(c.o, c.s, false), c.running))
-		after := testing.Benchmark(pass(mk(c.o, c.s, true), c.running))
+		before := testing.Benchmark(pass(mk(c.o, c.s, true), c.running))
+		after := testing.Benchmark(pass(mk(c.o, c.s, false), c.running))
 		e := entry(fmt.Sprintf("sched/QueuePassNoFit/%s/queue=%d", c.name, queueLen),
-			"slice-pass-live", before, after)
+			"sequential-slice-live", before, after)
 		e.Metrics = map[string]float64{"queue_jobs": float64(queueLen)}
 		entries = append(entries, e)
 	}
@@ -773,11 +790,10 @@ func queuePassMicros(queueLen int) []Entry {
 
 // deepQueueGrid simulates a 100k-job time-zero backlog end to end for
 // every order policy × {List, depth-bounded Backfilling, EASY} plus the
-// Garey&Graham cell. The before side runs the pre-index protocol: the
-// slice batched path for the stable orders (FCFS, Garey&Graham), the
-// sequential one-start-per-pass path for the epoch orders (PSRS, SMART)
-// — those only gained a batched pass with the index layer. Each cell's
-// makespans are cross-checked: the protocols must agree on the schedule.
+// Garey&Graham cell. The before side runs the sequential
+// one-start-per-call protocol over the order's slice, the path wrapped
+// start policies take. Each cell's makespans are cross-checked: the
+// protocols must agree on the schedule.
 func deepQueueGrid(quick bool) []Entry {
 	prev := flag.Lookup("test.benchtime").Value.String()
 	flag.Set("test.benchtime", "1x")
@@ -829,10 +845,7 @@ func deepQueueGrid(quick bool) []Entry {
 					b.Fatal(err)
 				}
 				if before {
-					alg.SetIndexedQueue(false)
-					if c.o != sched.OrderFCFS && c.o != sched.OrderGG {
-						alg.SetSequentialPasses(true)
-					}
+					alg = sequentialPasses(alg)
 				}
 				res, err := sim.Run(sim.Machine{Nodes: 256}, mkJobs(), alg, sim.Options{})
 				if err != nil {
@@ -843,11 +856,8 @@ func deepQueueGrid(quick bool) []Entry {
 		}
 	}
 	var entries []Entry
+	const source = "sequential-slice-live"
 	for _, c := range cells {
-		source := "slice-batched-live"
-		if c.o != sched.OrderFCFS && c.o != sched.OrderGG {
-			source = "sequential-slice-live"
-		}
 		var mkBefore, mkAfter int64
 		before := testing.Benchmark(run(c, true, &mkBefore))
 		after := testing.Benchmark(run(c, false, &mkAfter))

@@ -17,7 +17,11 @@ import (
 // exact inputs that wrap raw arithmetic. internal/queue joined with the
 // pending-queue index: its maxE aggregate stores raw job estimates and
 // its counters feed telemetry totals, both int64 domains where a wrap
-// would silently misprune a scan.
+// would silently misprune a scan. internal/sched joined once the
+// jobschedd daemon fed it client input: start policies do now + estimate
+// arithmetic on estimates the daemon accepts from clients (any positive
+// value), and a wrapped sum reads as a job that ends before the shadow
+// time, letting EASY backfill a job that runs forever ahead of its head.
 var checkedArithScope = []string{
 	"jobsched/internal/job",
 	"jobsched/internal/objective",
@@ -25,6 +29,7 @@ var checkedArithScope = []string{
 	"jobsched/internal/faults",
 	"jobsched/internal/profile",
 	"jobsched/internal/queue",
+	"jobsched/internal/sched",
 }
 
 // checkedArithHelpers are the saturating helpers in internal/job/arith.go

@@ -183,10 +183,7 @@ func (s *ReservedStarter) Pick(ordered []*job.Job, now int64, free int, running 
 // throughout the overlap. Jobs that merely do not fit the free nodes are
 // NOT filtered — that decision belongs to the inner policy.
 func (s *ReservedStarter) violatesCalendar(p profile.Kernel, j *job.Job, now int64) bool {
-	jobEnd := now + j.Estimate
-	if jobEnd < now { // overflow
-		jobEnd = profile.Infinity
-	}
+	jobEnd := job.AddSat(now, j.Estimate)
 	for _, e := range s.cal.entries {
 		if e.End <= now || e.Start >= jobEnd {
 			continue

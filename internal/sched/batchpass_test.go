@@ -6,23 +6,44 @@ import (
 	"testing"
 
 	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/profile"
 	"jobsched/internal/sim"
 	"jobsched/internal/telemetry"
 )
 
-// Batched scheduling passes (BatchStarter.PickMany) are specified to be
-// observationally equivalent to the engine's Pick-until-nil protocol:
-// the same jobs start at the same instants with the same classified
-// decisions, on every grid algorithm, with and without announced drains,
-// and regardless of which profile kernel backs the starter's scratch
-// state. These tests pin that equivalence end to end through the engine.
+// Batched scheduling passes (IndexedStarter.PickManyIndexed, reached
+// through Composite.Startable) are specified to be observationally
+// equivalent to the Pick-until-nil protocol: the same jobs start at the
+// same instants with the same classified decisions, on every grid
+// algorithm, with and without announced drains, and regardless of which
+// profile kernel backs the starter's scratch state. These tests pin that
+// equivalence against pickLoop, a reference scheduler that never enters
+// the batched pass.
+
+// pickLoop is the reference protocol: each Startable call returns at
+// most start.Pick(order.Ordered(now), …), so the engine's
+// Startable-until-nil loop is the Pick-until-nil loop. It reuses the
+// Composite's order and start policy — and, through embedding, its queue
+// hooks, decision explainer and interrupt plumbing — but never its
+// batched pass.
+type pickLoop struct{ *Composite }
+
+func (p pickLoop) Startable(now int64, free int, running []sim.Running) []*job.Job {
+	if p.order.Len() == 0 || free <= 0 {
+		return nil
+	}
+	if j := p.start.Pick(p.order.Ordered(now), now, free, running, p.machine); j != nil {
+		return []*job.Job{j}
+	}
+	return nil
+}
 
 // runTraced simulates jobs under alg and returns the schedule plus the
 // recorded start events (decisions included). EventPass/EventBackfill
 // counts legitimately differ between the protocols — a batched pass is
 // one Startable call and one walk — so only start events are compared.
-func runTraced(t *testing.T, alg *Composite, jobs []*job.Job, nodes int) (*sim.Schedule, []telemetry.Event) {
+func runTraced(t *testing.T, alg sim.Scheduler, jobs []*job.Job, nodes int) (*sim.Schedule, []telemetry.Event) {
 	t.Helper()
 	buf := &telemetry.Buffer{}
 	res, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
@@ -89,7 +110,11 @@ func batchGridCases(nodes int) []struct {
 // for every algorithm configuration and several random workloads, the
 // batched engine run must produce a byte-identical schedule AND
 // identical start events (time, free-node accounting, reason, depth,
-// head, shadow, spare) to the forced-sequential run.
+// head, shadow, spare) to the pickLoop reference run. The batched pass
+// exists to share per-pass work, so over a whole run it must also cost
+// no more profile operations than the reference (per pass it saves the
+// rebuilds, the rewalks and the confirmation walk, and stops walking
+// once nothing left in the queue is narrow enough to start).
 func TestBatchedPassesMatchSequential(t *testing.T) {
 	const nodes = 16
 	for seed := int64(1); seed <= 4; seed++ {
@@ -99,28 +124,34 @@ func TestBatchedPassesMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sequential, err := tc.mk()
+			reference, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sequential.SetSequentialPasses(true)
+			var bstats, rstats profile.Stats
+			batched.Instrument(telemetry.Hooks{ProfileStats: &bstats})
+			reference.Instrument(telemetry.Hooks{ProfileStats: &rstats})
 
 			bs, bev := runTraced(t, batched, jobs, nodes)
-			ss, sev := runTraced(t, sequential, jobs, nodes)
+			rs, rev := runTraced(t, pickLoop{reference}, jobs, nodes)
 
-			if bf, sf := scheduleFingerprint(bs), scheduleFingerprint(ss); bf != sf {
-				t.Fatalf("seed %d %s: batched schedule diverged from sequential\nbatched:    %s\nsequential: %s",
-					seed, tc.name, bf, sf)
+			if bf, rf := scheduleFingerprint(bs), scheduleFingerprint(rs); bf != rf {
+				t.Fatalf("seed %d %s: batched schedule diverged from the Pick loop\nbatched:   %s\nPick loop: %s",
+					seed, tc.name, bf, rf)
 			}
-			if len(bev) != len(sev) {
-				t.Fatalf("seed %d %s: %d start events batched, %d sequential",
-					seed, tc.name, len(bev), len(sev))
+			if len(bev) != len(rev) {
+				t.Fatalf("seed %d %s: %d start events batched, %d from the Pick loop",
+					seed, tc.name, len(bev), len(rev))
 			}
 			for i := range bev {
-				if bev[i] != sev[i] {
-					t.Fatalf("seed %d %s: start event %d diverged\nbatched:    %+v\nsequential: %+v",
-						seed, tc.name, i, bev[i], sev[i])
+				if bev[i] != rev[i] {
+					t.Fatalf("seed %d %s: start event %d diverged\nbatched:   %+v\nPick loop: %+v",
+						seed, tc.name, i, bev[i], rev[i])
 				}
+			}
+			if b, r := bstats.Total(), rstats.Total(); b > r {
+				t.Fatalf("seed %d %s: batched run did %d profile ops, the Pick loop only %d",
+					seed, tc.name, b, r)
 			}
 		}
 	}
@@ -213,5 +244,69 @@ func TestBatchedPassStartsManyPerPass(t *testing.T) {
 	}
 	if maxPerPass < nodes {
 		t.Fatalf("batched pass started at most %d jobs, want %d in one pass", maxPerPass, nodes)
+	}
+}
+
+// passThrough is a transparent WrapStarter layer: it forwards Name and
+// Pick and nothing else, like the production admission wrappers.
+type passThrough struct{ Starter }
+
+// TestComposeSelectsPassByType pins the type-driven pass selection: every
+// batchGridCases configuration (each grid cell from New, plus the fast,
+// depth-bounded and drain-announced variants) gets the batched pass,
+// while a WrapStarter-wrapped composite and Switching — whose start
+// policies are not IndexedStarters — get one start per Startable call.
+// Eight 1-node jobs on eight free nodes all start at once under every
+// start policy, so the two paths are told apart by one call.
+func TestComposeSelectsPassByType(t *testing.T) {
+	const nodes = 16
+	firstCall := func(s sim.Scheduler) int {
+		for i := 0; i < 8; i++ {
+			s.Submit(&job.Job{ID: job.ID(i), Nodes: 1, Estimate: 10, Runtime: 10}, 0)
+		}
+		return len(s.Startable(0, 8, nil))
+	}
+	cal, err := NewCalendar(nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range batchGridCases(nodes) {
+		c, err := tc.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ixStart == nil {
+			t.Errorf("%s: composed without the batched pass", tc.name)
+		}
+		if got := firstCall(c); got < 2 {
+			t.Errorf("%s: batched pass started %d jobs in one call, want several", tc.name, got)
+		}
+		for _, w := range []struct {
+			name string
+			wrap func(Starter) Starter
+		}{
+			{"pass-through", func(s Starter) Starter { return passThrough{s} }},
+			{"reserved", func(s Starter) Starter { return NewReservedStarter(s, cal) }},
+		} {
+			base, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped := WrapStarter(base, w.wrap)
+			if wrapped.ixStart != nil {
+				t.Errorf("%s wrapped %s: composed with the batched pass", tc.name, w.name)
+			}
+			if got := firstCall(wrapped); got != 1 {
+				t.Errorf("%s wrapped %s: started %d jobs in one call, want 1", tc.name, w.name, got)
+			}
+		}
+	}
+	sw, err := NewSwitching(objective.PrimeTime, OrderSMARTFFIA, StartEASY, OrderGG, StartList,
+		Config{MachineNodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := firstCall(sw); got != 1 {
+		t.Errorf("Switching started %d jobs in one call, want 1", got)
 	}
 }

@@ -25,16 +25,14 @@ type FCFSOrder struct {
 	name  string
 	queue []*job.Job
 	head  int
-	// ix mirrors queue[head:]; indexed gates its maintenance (the slice
-	// path is the differential oracle and must not pay for the index).
-	ix      *queue.Index
-	indexed bool
+	// ix mirrors queue[head:].
+	ix *queue.Index
 }
 
 // NewFCFSOrder returns a submission-order queue with the given display
 // name (Garey&Graham reuses it under its own name).
 func NewFCFSOrder(name string) *FCFSOrder {
-	return &FCFSOrder{name: name, ix: queue.NewIndex(), indexed: true}
+	return &FCFSOrder{name: name, ix: queue.NewIndex()}
 }
 
 // Name implements Orderer.
@@ -48,16 +46,12 @@ func (o *FCFSOrder) StableUnderRemoval() {}
 // so appending preserves FCFS order.
 func (o *FCFSOrder) Push(j *job.Job, now int64) {
 	o.queue = append(o.queue, j)
-	if o.indexed {
-		o.ix.Push(j)
-	}
+	o.ix.Push(j)
 }
 
 // Remove implements Orderer.
 func (o *FCFSOrder) Remove(j *job.Job, now int64) {
-	if o.indexed {
-		o.ix.Remove(j)
-	}
+	o.ix.Remove(j)
 	if o.head < len(o.queue) && o.queue[o.head] == j {
 		o.queue[o.head] = nil // release for GC; the slot is dead
 		o.head++
@@ -91,15 +85,6 @@ func (o *FCFSOrder) Len() int { return len(o.queue) - o.head }
 
 // OrderedIter implements IndexedOrderer.
 func (o *FCFSOrder) OrderedIter(now int64) *queue.Index { return o.ix }
-
-// SetIndexed implements IndexedOrderer. Turning the index on
-// resynchronizes it from the slice.
-func (o *FCFSOrder) SetIndexed(on bool) {
-	if on && !o.indexed {
-		o.ix.Rebuild(o.queue[o.head:])
-	}
-	o.indexed = on
-}
 
 // Instrument implements Instrumented: attaches the queue-index operation
 // counter.

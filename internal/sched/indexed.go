@@ -1,11 +1,11 @@
 package sched
 
 // The IndexedStarter implementations: each start policy's batched pass
-// against the order policy's queue.Index instead of a materialized
-// ordered slice. Every method mirrors its slice counterpart (PickMany /
-// the pick-one loop) decision for decision — same jobs, same order, same
-// telemetry — the property the batch-equivalence and indexed-differential
-// tests pin. The wins are structural: no O(Q) slice walk per pass,
+// against the order policy's queue.Index. Every method reproduces the
+// Pick-until-nil loop decision for decision — same jobs, same order,
+// same telemetry — the property the batch-equivalence tests pin against
+// a test-side loop over Pick(Ordered(now)). The wins are structural: one
+// call per pass instead of one per start, no O(Q) slice walk per pass,
 // width-pruned scans that skip runs of too-wide jobs in O(log Q), an
 // O(1) "nothing fits" precheck for the conservative walk, and an
 // O(log Q) horizon lookup for its fast mode.
@@ -26,7 +26,9 @@ var (
 )
 
 // PickManyIndexed implements IndexedStarter: the startable prefix of the
-// queue (see PickMany), iterated via cursor.
+// queue, iterated via cursor. The head is never skipped, so the
+// Pick-until-nil loop starts consecutive heads until one does not fit —
+// exactly this prefix.
 func (s *ListStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
@@ -48,13 +50,17 @@ func (s *ListStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 }
 
 // PickManyIndexed implements IndexedStarter with a single width-pruned
-// forward scan (see PickMany for the equivalence argument). The skipped
+// forward scan. The Pick-until-nil loop rescans the remaining queue
+// after every start, but free nodes only shrink during a pass, so a job
+// that did not fit earlier can never fit later: the rescans would
+// re-skip exactly the jobs this scan already skipped. The skipped
 // (too-wide) jobs are never touched: the cursor jumps over each run of
 // misfits in O(log Q). Depth — the pick's index in the remaining queue,
 // equal to the skips so far — is reconstructed as rank minus prior picks,
-// and Head (the first job that failed to fit) is the job ranked exactly
-// at the pick count when the first gap appears: until then every
-// lower-ranked job was picked.
+// and Head (the first job that failed to fit, which stays the remaining
+// head for the whole pass) is the job ranked exactly at the pick count
+// when the first gap appears: until then every lower-ranked job was
+// picked.
 func (s *GareyGrahamStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
@@ -87,9 +93,15 @@ func (s *GareyGrahamStarter) PickManyIndexed(ix *queue.Index, now int64, free in
 	return s.picked
 }
 
-// PickManyIndexed implements IndexedStarter: the sequential EASY loop
-// with picked jobs hidden pass-locally instead of copied out of a
-// private queue (see PickMany for the drain-profile argument).
+// PickManyIndexed implements IndexedStarter: the literal Pick-until-nil
+// loop, with picked jobs hidden pass-locally where the order policy's
+// Remove would take them out — except that the drain-aware path builds
+// its availability profile once per pass and extends it incrementally
+// with each started job, instead of rebuilding it per start. The
+// incremental Reserve equals the rebuild: a started job passed the
+// profile fit check, so within its reservation window the drains'
+// zero-clamp was not active and plain subtraction commutes with the
+// clamped drain subtraction.
 func (s *EASYStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
@@ -144,7 +156,7 @@ func (s *EASYStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 // candidates that fit the free nodes (width-pruned), never the runs of
 // too-wide jobs between them. Depth = the candidate's rank in the
 // remaining (visible) order, which is exactly its index in the slice
-// pickOne's queue.
+// pickOne walks.
 func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running) *job.Job {
 	head, headSlot := ix.First()
 	if head == nil {
@@ -171,7 +183,7 @@ func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []
 		if stopAt(s.interrupt, k) {
 			return nil
 		}
-		if now+j.Estimate <= shadow {
+		if job.AddSat(now, j.Estimate) <= shadow {
 			s.stash(j, telemetry.Decision{
 				Starter: s.Name(), Reason: telemetry.ReasonBackfillBeforeShadow,
 				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
@@ -248,9 +260,11 @@ func (s *EASYStarter) drainPickOneIx(ix *queue.Index, now int64, free int) *job.
 	return nil
 }
 
-// PickManyIndexed implements IndexedStarter (see PickMany: exact mode is
-// one continued profile walk, fast mode restarts the decision per start
-// because its horizon moves with the remaining queue).
+// PickManyIndexed implements IndexedStarter. Exact mode runs the whole
+// pass as one continued profile walk (pickManyExactIx); fast mode
+// restarts the decision per start, because its skip horizon depends on
+// the maximum estimate over the *remaining* queue and so legitimately
+// moves as jobs leave it.
 func (s *ConservativeStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
@@ -361,10 +375,18 @@ func (s *ConservativeStarter) pickOneIx(ix *queue.Index, now int64, free int, ru
 	return nil
 }
 
-// pickManyExactIx is pickManyExact against the index: one profile build,
-// one cursor walk (see pickManyExact for the equivalence argument), with
-// the O(1) no-fit precheck in front and the batch bounded by the epoch
-// window when the order policy requires it.
+// pickManyExactIx computes an exact conservative pass with ONE profile
+// build and ONE cursor walk, where the Pick-until-nil loop rebuilds and
+// rewalks after every start. Equivalence: when a job starts, the next
+// sequential rebuild differs from the current profile only by that job's
+// running reservation, which is added here immediately; re-walked
+// unstarted jobs keep their placements because (a) the started job's fit
+// check passed *on top of* their reservations, so each old window stays
+// feasible, and (b) capacity only shrank, so no earlier fit can open.
+// The depth budget counts unstarted jobs only — each sequential walk
+// indexes maxDepth jobs of its remaining (started-jobs-removed) queue.
+// The O(1) no-fit precheck sits in front, and the batch is bounded by
+// the epoch window when the order policy requires it.
 func (s *ConservativeStarter) pickManyExactIx(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	if ix.Len() == 0 || free <= 0 {
 		return s.picked
@@ -416,7 +438,9 @@ func (s *ConservativeStarter) pickManyExactIx(ix *queue.Index, now int64, free i
 			s.picked = append(s.picked, j)
 			free -= j.Nodes
 			// The reservation the next sequential rebuild would hold for
-			// this now-running job (see pickManyExact).
+			// this now-running job. Its fit check passed on the drained
+			// profile, so the plain Reserve commutes with the drains'
+			// zero-clamp inside the window.
 			end := job.AddSat(now, j.Estimate)
 			if end <= now {
 				end = now + 1

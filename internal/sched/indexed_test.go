@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"jobsched/internal/job"
+	"jobsched/internal/sim"
+	"jobsched/internal/telemetry"
 )
 
 // The indexed-queue layer maintains a queue.Index mirror of every order
 // policy's slice order. These tests pin the mirror op-for-op (the index
 // enumerates exactly the slice order after every Push/Remove, for all
-// four order policies), pin the indexed batched engine path against the
-// slice batched path end to end, and gate the alloc-free width scan.
+// four order policies), pin the batched pass against the Pick-until-nil
+// loop state by state, and gate the alloc-free width scan.
 
 // indexedOrderers builds one instance of each order policy (both SMART
 // variants) with the index enabled — the differential subjects.
@@ -98,81 +100,130 @@ func TestIndexedOrdererMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestIndexedQueueToggleResyncs pins SetIndexed round trips: disabling
-// the mirror, mutating the queue, and re-enabling must rebuild an index
-// that matches the slice order again.
-func TestIndexedQueueToggleResyncs(t *testing.T) {
-	const nodes = 32
-	for _, o := range indexedOrderers(nodes) {
-		o := o
-		t.Run(o.Name(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(5))
-			var pending []*job.Job
-			for i := 0; i < 200; i++ {
-				j := &job.Job{ID: job.ID(i), Nodes: 1 + r.Intn(nodes), Estimate: int64(1 + r.Intn(100))}
-				pending = append(pending, j)
-				o.Push(j, int64(i))
-			}
-			o.SetIndexed(false)
-			// Mutate while the mirror is off.
-			for i := 0; i < 80; i++ {
-				k := r.Intn(len(pending))
-				o.Remove(pending[k], 300)
-				pending = append(pending[:k], pending[k+1:]...)
-			}
-			o.SetIndexed(true)
-			want := o.Ordered(400)
-			got := o.OrderedIter(400).AppendOrdered(nil)
-			if len(got) != len(want) {
-				t.Fatalf("after resync: index has %d jobs, slice %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("after resync: position %d: index job %d, slice job %d",
-						i, got[i].ID, want[i].ID)
-				}
-			}
-		})
+// pickUntilNil is the reference scheduling pass at one instant: Pick
+// against Ordered(now), start the pick (remove it from the order, debit
+// its nodes, add it to the running set), repeat until nil. It returns
+// the started jobs with their classified decisions.
+func pickUntilNil(c *Composite, now int64, free int, running []sim.Running) ([]job.ID, []telemetry.Decision) {
+	running = append([]sim.Running(nil), running...)
+	var ids []job.ID
+	var decs []telemetry.Decision
+	for c.order.Len() > 0 && free > 0 {
+		j := c.start.Pick(c.order.Ordered(now), now, free, running, c.machine)
+		if j == nil {
+			break
+		}
+		d, _ := c.LastStartDecision(j)
+		ids, decs = append(ids, j.ID), append(decs, d)
+		c.JobStarted(j, now)
+		free -= j.Nodes
+		running = append(running, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
+	}
+	return ids, decs
+}
+
+// startablePass drives the same instant through Composite.Startable the
+// way the engine does: start every returned batch, call again until nil.
+// It also returns the largest batch seen.
+func startablePass(c *Composite, now int64, free int, running []sim.Running) ([]job.ID, []telemetry.Decision, int) {
+	running = append([]sim.Running(nil), running...)
+	var ids []job.ID
+	var decs []telemetry.Decision
+	largest := 0
+	for {
+		batch := c.Startable(now, free, running)
+		if len(batch) == 0 {
+			return ids, decs, largest
+		}
+		largest = max(largest, len(batch))
+		for _, j := range batch {
+			d, _ := c.LastStartDecision(j)
+			ids, decs = append(ids, j.ID), append(decs, d)
+		}
+		for _, j := range batch {
+			c.JobStarted(j, now)
+			free -= j.Nodes
+			running = append(running, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
+		}
 	}
 }
 
-// TestIndexedEngineMatchesSliceBatched is the third leg of the protocol
-// equivalence triangle (batchpass_test pins indexed-batched against
-// sequential): the indexed engine path must produce byte-identical
-// schedules and start events to the slice batched path on every grid
-// configuration.
-func TestIndexedEngineMatchesSliceBatched(t *testing.T) {
+// TestStartableMatchesPickLoop is the state-level differential behind
+// TestBatchedPassesMatchSequential: on random queue states — mid-epoch
+// replanner states, outage-shrunk free counts and pending drains
+// included — one scheduling instant driven through Composite.Startable
+// (the batched PickManyIndexed pass, epoch windows and pass memo
+// included) must start exactly the jobs, in exactly the order and with
+// exactly the decisions, of pickUntilNil on a twin scheduler.
+func TestStartableMatchesPickLoop(t *testing.T) {
 	const nodes = 16
-	for seed := int64(1); seed <= 3; seed++ {
-		jobs := randomJobs(rand.New(rand.NewSource(seed+100)), 220, nodes)
-		for _, tc := range batchGridCases(nodes) {
-			indexed, err := tc.mk()
+	multi := 0
+	for _, tc := range batchGridCases(nodes) {
+		r := rand.New(rand.NewSource(17))
+		for state := 0; state < 40; state++ {
+			batched, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			slicePath, err := tc.mk()
+			reference, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			slicePath.SetIndexedQueue(false)
-
-			is, iev := runTraced(t, indexed, jobs, nodes)
-			ss, sev := runTraced(t, slicePath, jobs, nodes)
-
-			if ifp, sfp := scheduleFingerprint(is), scheduleFingerprint(ss); ifp != sfp {
-				t.Fatalf("seed %d %s: indexed schedule diverged from slice path\nindexed: %s\nslice:   %s",
-					seed, tc.name, ifp, sfp)
-			}
-			if len(iev) != len(sev) {
-				t.Fatalf("seed %d %s: %d start events indexed, %d slice", seed, tc.name, len(iev), len(sev))
-			}
-			for i := range iev {
-				if iev[i] != sev[i] {
-					t.Fatalf("seed %d %s: start event %d diverged\nindexed: %+v\nslice:   %+v",
-						seed, tc.name, i, iev[i], sev[i])
+			now := int64(r.Intn(600))
+			var pending []*job.Job
+			for i, n := 0, 1+r.Intn(120); i < n; i++ {
+				at := now * int64(i) / int64(n)
+				jb := &job.Job{ID: job.ID(i), Submit: at, Nodes: 1 + r.Intn(nodes),
+					Estimate: int64(1 + r.Intn(500))}
+				jb.Runtime = jb.Estimate
+				batched.Submit(jb, at)
+				reference.Submit(jb, at)
+				pending = append(pending, jb)
+				// Start a few earlier jobs along the way, after a planning
+				// point, so replanned orders sit mid-epoch.
+				if r.Intn(8) == 0 {
+					batched.order.Ordered(at)
+					reference.order.Ordered(at)
+					k := r.Intn(len(pending))
+					batched.JobStarted(pending[k], at)
+					reference.JobStarted(pending[k], at)
+					pending = append(pending[:k], pending[k+1:]...)
 				}
 			}
+			var running []sim.Running
+			busy := 0
+			for id := 1000; busy < nodes && r.Intn(3) > 0; id++ {
+				w := 1 + r.Intn(nodes-busy)
+				running = append(running, sim.Running{
+					Job:   &job.Job{ID: job.ID(id), Nodes: w, Estimate: 700},
+					Start: now - 100, EstEnd: now + 1 + int64(r.Intn(600)),
+				})
+				busy += w
+			}
+			free := nodes - busy - r.Intn(3) // an outage may hold a few nodes
+			if free < 0 {
+				free = 0
+			}
+
+			gotIDs, gotDecs, largest := startablePass(batched, now, free, running)
+			wantIDs, wantDecs := pickUntilNil(reference, now, free, running)
+			if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+				t.Fatalf("%s state %d (now %d, free %d): Startable started %v, the Pick loop %v",
+					tc.name, state, now, free, gotIDs, wantIDs)
+			}
+			for i := range gotDecs {
+				if gotDecs[i] != wantDecs[i] {
+					t.Fatalf("%s state %d: decision %d for job %d diverged\nStartable: %+v\nPick loop: %+v",
+						tc.name, state, i, gotIDs[i], gotDecs[i], wantDecs[i])
+				}
+			}
+			if largest > 1 {
+				multi++
+			}
 		}
+	}
+	if multi == 0 {
+		t.Fatal("no state started more than one job per Startable call; the batched pass was never exercised")
 	}
 }
 

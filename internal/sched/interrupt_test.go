@@ -35,36 +35,33 @@ func TestBatchedPassPollsInterrupt(t *testing.T) {
 	const n = 20000
 	queue, running := deepBacklog(n)
 
-	for _, indexed := range []bool{true, false} {
-		var stats profile.Stats
-		c := Compose(NewFCFSOrder(string(OrderFCFS)), NewConservativeStarter(0), 100)
-		c.SetIndexedQueue(indexed)
-		c.Instrument(telemetry.Hooks{ProfileStats: &stats})
-		for _, j := range queue {
-			c.Submit(j, 1)
-		}
+	var stats profile.Stats
+	c := Compose(NewFCFSOrder(string(OrderFCFS)), NewConservativeStarter(0), 100)
+	c.Instrument(telemetry.Hooks{ProfileStats: &stats})
+	for _, j := range queue {
+		c.Submit(j, 1)
+	}
 
-		// Sanity: the uninterrupted pass really is a full-queue walk (the
-		// scenario would otherwise not exercise the fix).
-		picked := c.Startable(1, 1, running)
-		if len(picked) != 0 {
-			t.Fatalf("indexed=%v: expected a fruitless pass, started %d jobs", indexed, len(picked))
-		}
-		if stats.Total() < int64(n) {
-			t.Fatalf("indexed=%v: uninterrupted pass did only %d profile ops, want >= %d (scenario too easy)",
-				indexed, stats.Total(), n)
-		}
+	// Sanity: the uninterrupted pass really is a full-queue walk (the
+	// scenario would otherwise not exercise the fix).
+	picked := c.Startable(1, 1, running)
+	if len(picked) != 0 {
+		t.Fatalf("expected a fruitless pass, started %d jobs", len(picked))
+	}
+	if stats.Total() < int64(n) {
+		t.Fatalf("uninterrupted pass did only %d profile ops, want >= %d (scenario too easy)",
+			stats.Total(), n)
+	}
 
-		stats = profile.Stats{}
-		c.SetInterrupt(func() bool { return true })
-		picked = c.Startable(1, 1, running)
-		if len(picked) != 0 {
-			t.Fatalf("indexed=%v: interrupted pass started %d jobs", indexed, len(picked))
-		}
-		if got := stats.Total(); got > 8*interruptStride {
-			t.Errorf("indexed=%v: interrupted pass did %d profile ops, want <= %d — the pass ignored the hook",
-				indexed, got, 8*interruptStride)
-		}
+	stats = profile.Stats{}
+	c.SetInterrupt(func() bool { return true })
+	picked = c.Startable(1, 1, running)
+	if len(picked) != 0 {
+		t.Fatalf("interrupted pass started %d jobs", len(picked))
+	}
+	if got := stats.Total(); got > 8*interruptStride {
+		t.Errorf("interrupted pass did %d profile ops, want <= %d — the pass ignored the hook",
+			got, 8*interruptStride)
 	}
 }
 

@@ -50,9 +50,6 @@ func (o *PSRSOrder) Ordered(now int64) []*job.Job { return o.rp.ordered() }
 // OrderedIter implements IndexedOrderer.
 func (o *PSRSOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
 
-// SetIndexed implements IndexedOrderer.
-func (o *PSRSOrder) SetIndexed(on bool) { o.rp.setIndexed(on) }
-
 // BatchWindow implements EpochOrderer: PSRS order is removal-stable
 // within a plan epoch (see replanner.batchWindow).
 func (o *PSRSOrder) BatchWindow() int { return o.rp.batchWindow() }

@@ -48,22 +48,6 @@ type Starter interface {
 	Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job
 }
 
-// BatchStarter is implemented by start policies that can compute a whole
-// scheduling pass at once: PickMany returns, in start order, exactly the
-// jobs the engine's Pick-until-nil loop would have started at `now` —
-// same jobs, same order, same decisions — while sharing the expensive
-// per-pass state (the reservation profile rebuild) across the batch.
-// Composite uses it only when the order policy is order-stable under
-// removal (StableOrderer), because the equivalence argument assumes the
-// remaining queue keeps its relative order as started jobs leave it.
-type BatchStarter interface {
-	Starter
-	// PickMany returns the maximal set of jobs startable now, in the
-	// order Pick would have returned them. The returned slice is only
-	// valid until the next Pick/PickMany call.
-	PickMany(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job
-}
-
 // StableOrderer marks order policies whose Ordered sequence is invariant
 // under Remove: taking a started job out never reorders the remaining
 // jobs (FCFS, Garey&Graham). SMART and PSRS are not stable — removals
@@ -92,10 +76,9 @@ type EpochOrderer interface {
 }
 
 // IndexedOrderer is implemented by order policies that maintain their
-// priority order as a queue.Index, replacing the O(Q) Ordered slice
-// materialization per pass with O(log Q) cursor iteration and
-// width-pruned scans. Ordered stays available as the compatibility
-// adapter and differential oracle.
+// priority order as a queue.Index alongside the Ordered slice, so a
+// batched pass iterates it in O(log Q) cursor steps and width-pruned
+// scans instead of walking a materialized order.
 type IndexedOrderer interface {
 	Orderer
 	// OrderedIter returns the indexed view of the current priority order
@@ -103,21 +86,24 @@ type IndexedOrderer interface {
 	// by the order policy; callers must restore any pass-local hiding
 	// before returning control.
 	OrderedIter(now int64) *queue.Index
-	// SetIndexed toggles index maintenance; turning it on resynchronizes
-	// the index from the slice order. Composite.SetIndexedQueue drives it.
-	SetIndexed(on bool)
 }
 
 // IndexedStarter is implemented by start policies that can compute a
-// batched pass against an indexed queue view (the O(log Q) counterpart
-// of BatchStarter.PickMany — same jobs, same order, same decisions).
+// whole scheduling pass at once against an indexed queue view:
+// PickManyIndexed returns, in start order, exactly the jobs the
+// Pick-until-nil loop would have started at `now` — same jobs, same
+// order, same decisions — while sharing the per-pass state (the
+// reservation profile rebuild, the shadow computation) across the batch.
+// The equivalence assumes the remaining queue keeps its relative order
+// as started jobs leave it, which is why Compose batches only over
+// StableOrderer and EpochOrderer orders.
 type IndexedStarter interface {
 	Starter
 	// PickManyIndexed returns the jobs startable now, in the order Pick
 	// would have returned them, bounded by limit when limit > 0 (the
 	// epoch batch window; 0 = unlimited). Implementations must leave the
 	// index exactly as found (hidden entries restored). The returned
-	// slice is only valid until the next Pick/PickMany call.
+	// slice is only valid until the next Pick/PickManyIndexed call.
 	PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job
 }
 
@@ -150,24 +136,17 @@ type Composite struct {
 	// decider is the start policy's sim.DecisionExplainer view, resolved
 	// once at composition (nil when the policy cannot classify starts).
 	decider sim.DecisionExplainer
-	// batch is the start policy's BatchStarter view; set when the order
-	// policy is StableOrderer (unbounded batches) or EpochOrderer
-	// (batches truncated to the epoch window), the preconditions for a
-	// batched pass being equivalent to the Pick-until-nil loop.
-	batch BatchStarter
 	// stable records the StableOrderer marker; epoch the EpochOrderer
 	// view (nil for stable orders). Exactly one is set when batching.
 	stable bool
 	epoch  EpochOrderer
-	// ixOrder/ixStart are the indexed-protocol views, set when both sides
-	// support it and batching is sound; indexed (default true) gates the
-	// indexed path at run time (SetIndexedQueue).
+	// ixOrder/ixStart are the batched pass's views, set by Compose when
+	// the order is StableOrderer (unbounded batches) or EpochOrderer
+	// (batches truncated to the epoch window) — the preconditions for a
+	// batched pass being equivalent to the Pick-until-nil loop — and both
+	// sides are indexed. Both nil selects the one-start-per-call path.
 	ixOrder IndexedOrderer
 	ixStart IndexedStarter
-	indexed bool
-	// sequentialPasses forces the one-job-per-Startable path even when a
-	// batched pass is available (differential tests and A/B benches).
-	sequentialPasses bool
 	// interrupt is the cooperative cancellation hook (Interruptible),
 	// polled between and inside batched passes; nil = never interrupt.
 	interrupt func() bool
@@ -192,19 +171,22 @@ var _ sim.Scheduler = (*Composite)(nil)
 var _ sim.DecisionExplainer = (*Composite)(nil)
 
 // Compose builds a scheduler from an order and a start policy for a
-// machine of the given size.
+// machine of the given size. The pass protocol follows from the types
+// alone: a StableOrderer or EpochOrderer that is also an IndexedOrderer,
+// paired with an IndexedStarter, gets the batched pass; anything else —
+// wrapped start policies (ReservedStarter and other WrapStarter layers)
+// or hand-rolled orders — gets one Pick per Startable call.
 func Compose(order Orderer, start Starter, machineNodes int) *Composite {
 	if machineNodes <= 0 {
 		panic("sched: machine must have at least one node")
 	}
-	c := &Composite{order: order, start: start, machine: machineNodes, indexed: true}
+	c := &Composite{order: order, start: start, machine: machineNodes}
 	c.decider, _ = start.(sim.DecisionExplainer)
 	_, c.stable = order.(StableOrderer)
 	if !c.stable {
 		c.epoch, _ = order.(EpochOrderer)
 	}
 	if c.stable || c.epoch != nil {
-		c.batch, _ = start.(BatchStarter)
 		if io, ok := order.(IndexedOrderer); ok {
 			if is, ok := start.(IndexedStarter); ok {
 				c.ixOrder, c.ixStart = io, is
@@ -213,25 +195,6 @@ func Compose(order Orderer, start Starter, machineNodes int) *Composite {
 	}
 	return c
 }
-
-// SetIndexedQueue enables (default) or disables the indexed-queue
-// protocol: OrderedIter/PickManyIndexed with O(log Q) iteration and
-// width-pruned scans. Off, the order policy stops maintaining its index
-// and passes run the slice protocol — the differential oracle and the
-// pre-index baseline for A/B benches. Both sides start identical jobs in
-// identical order.
-func (c *Composite) SetIndexedQueue(on bool) {
-	c.indexed = on
-	if io, ok := c.order.(IndexedOrderer); ok {
-		io.SetIndexed(on)
-	}
-}
-
-// SetSequentialPasses forces (true) or re-enables (false) the
-// one-job-per-Startable protocol. Batched and sequential passes start
-// identical jobs in identical order; the switch exists so equivalence
-// tests and benches can run both sides.
-func (c *Composite) SetSequentialPasses(on bool) { c.sequentialPasses = on }
 
 // SetProfileFactory swaps the start policy's scratch-profile backend
 // (no-op for policies without one). sched.New calls it with
@@ -257,18 +220,18 @@ func (c *Composite) JobStarted(j *job.Job, now int64) { c.order.Remove(j, now) }
 // not react to completions (reservation state is rebuilt by the starters).
 func (c *Composite) JobFinished(j *job.Job, now int64) {}
 
-// Startable implements sim.Scheduler. With a batch-capable start policy
-// over a removal-stable order, one call computes the whole pass; the
-// engine's follow-up call (after starting the batch) finds nothing new
-// and terminates the pass. Epoch-stable orders (SMART/PSRS) batch too,
-// truncated to the replan-free window. Otherwise one job per call, as
-// before. The indexed protocol (default) runs the same passes against
-// the order policy's queue.Index instead of the materialized slice.
+// Startable implements sim.Scheduler. With the batched pass (see
+// Compose), one call computes the whole pass against the order policy's
+// queue.Index; the engine's follow-up call (after starting the batch)
+// finds nothing new and terminates the pass. Epoch-stable orders
+// (SMART/PSRS) batch too, truncated to the replan-free window.
+// Otherwise one job per call: the Pick-until-nil loop the batched pass
+// is specified against.
 func (c *Composite) Startable(now int64, free int, running []sim.Running) []*job.Job {
 	if c.order.Len() == 0 || free <= 0 {
 		return nil
 	}
-	if c.batch == nil || c.sequentialPasses {
+	if c.ixStart == nil {
 		j := c.start.Pick(c.order.Ordered(now), now, free, running, c.machine)
 		if j == nil {
 			return nil
@@ -276,68 +239,37 @@ func (c *Composite) Startable(now int64, free int, running []sim.Running) []*job
 		return []*job.Job{j}
 	}
 
-	if c.ixOrder != nil && c.indexed {
-		ix := c.ixOrder.OrderedIter(now)
-		// A batched pass is complete: PickMany returns every job startable
-		// at `now` (the property the batch equivalence tests pin), so the
-		// engine's follow-up Startable call — its loop-termination check —
-		// would walk the whole queue only to find nothing. If the state is
-		// exactly the one the last fruitful pass predicted (same instant,
-		// picked jobs moved from queue to running, their nodes debited),
-		// answer it without the walk. Any other intervening change (a
-		// same-instant outage, resubmit, or kill) breaks the signature and
-		// forces the full pass. An epoch order's follow-up OrderedIter is
-		// itself the replan-trigger check and has already run at exactly
-		// the sequential protocol's point — the memo (set only when the
-		// pass ended below the epoch window, so its removals provably left
-		// the trigger cold) skips just the fruitless walk behind it.
-		if m := &c.passDone; m.valid {
-			m.valid = false
-			if now == m.now && free == m.free &&
-				ix.Len() == m.queueLen && len(running) == m.runningLen {
-				return nil
-			}
-		}
-		limit := 0
-		if c.epoch != nil {
-			limit = c.epoch.BatchWindow()
-		}
-		picked := c.ixStart.PickManyIndexed(ix, now, free, running, c.machine, limit)
-		// An interrupted pass may have been abandoned mid-walk: its picks
-		// are a prefix of the full pass, so the completion memo must not
-		// claim the follow-up call needs no walk.
-		if len(picked) > 0 && (c.stable || len(picked) < limit) && !stopNow(c.interrupt) {
-			c.passDone = c.memoAfter(now, free, ix.Len(), len(running), picked)
-		}
-		return picked
-	}
-
-	ordered := c.order.Ordered(now)
+	ix := c.ixOrder.OrderedIter(now)
+	// A batched pass is complete: PickManyIndexed returns every job
+	// startable at `now` (the property the batch equivalence tests pin),
+	// so the engine's follow-up Startable call — its loop-termination
+	// check — would walk the whole queue only to find nothing. If the
+	// state is exactly the one the last fruitful pass predicted (same
+	// instant, picked jobs moved from queue to running, their nodes
+	// debited), answer it without the walk. Any other intervening change
+	// (a same-instant outage, resubmit, or kill) breaks the signature and
+	// forces the full pass. An epoch order's follow-up OrderedIter is
+	// itself the replan-trigger check and has already run at exactly the
+	// sequential protocol's point — the memo (set only when the pass
+	// ended below the epoch window, so its removals provably left the
+	// trigger cold) skips just the fruitless walk behind it.
 	if m := &c.passDone; m.valid {
 		m.valid = false
 		if now == m.now && free == m.free &&
-			len(ordered) == m.queueLen && len(running) == m.runningLen {
+			ix.Len() == m.queueLen && len(running) == m.runningLen {
 			return nil
 		}
 	}
-	picked := c.batch.PickMany(ordered, now, free, running, c.machine)
-	complete := c.stable
+	limit := 0
 	if c.epoch != nil {
-		// Truncate to the epoch's replan-free window; the engine's next
-		// pass resumes at the queue state the sequential protocol would
-		// have re-checked the replan trigger at. A pass ending below the
-		// window was not truncated — it is the full pick-until-nil output,
-		// and its removals provably leave the replan trigger cold, so the
-		// follow-up call may answer from the memo.
-		w := c.epoch.BatchWindow()
-		if len(picked) > w {
-			picked = picked[:w]
-		} else if len(picked) < w {
-			complete = true
-		}
+		limit = c.epoch.BatchWindow()
 	}
-	if complete && len(picked) > 0 && !stopNow(c.interrupt) {
-		c.passDone = c.memoAfter(now, free, len(ordered), len(running), picked)
+	picked := c.ixStart.PickManyIndexed(ix, now, free, running, c.machine, limit)
+	// An interrupted pass may have been abandoned mid-walk: its picks are
+	// a prefix of the full pass, so the completion memo must not claim
+	// the follow-up call needs no walk.
+	if len(picked) > 0 && (c.stable || len(picked) < limit) && !stopNow(c.interrupt) {
+		c.passDone = c.memoAfter(now, free, ix.Len(), len(running), picked)
 	}
 	return picked
 }

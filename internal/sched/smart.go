@@ -76,9 +76,6 @@ func (o *SMARTOrder) Ordered(now int64) []*job.Job { return o.rp.ordered() }
 // OrderedIter implements IndexedOrderer.
 func (o *SMARTOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
 
-// SetIndexed implements IndexedOrderer.
-func (o *SMARTOrder) SetIndexed(on bool) { o.rp.setIndexed(on) }
-
 // BatchWindow implements EpochOrderer: SMART order is removal-stable
 // within a plan epoch (see replanner.batchWindow).
 func (o *SMARTOrder) BatchWindow() int { return o.rp.batchWindow() }

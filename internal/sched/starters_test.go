@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"jobsched/internal/job"
@@ -104,6 +105,27 @@ func TestEASYSkipsOversizedCandidates(t *testing.T) {
 	q := []*job.Job{head, wide, short}
 	if got := s.Pick(q, 0, 2, running, 5); got != short {
 		t.Errorf("EASY picked %v, want the fitting short job", got)
+	}
+}
+
+func TestEASYHugeEstimateDoesNotWrapPastShadow(t *testing.T) {
+	// Machine 10: 8 nodes held until t=100, so the 10-wide head's shadow
+	// is 100 with spare 0. A 2-wide candidate with a MaxInt64 estimate
+	// (the daemon accepts any positive estimate) fits the 2 free nodes
+	// but runs far past the shadow: now+estimate must saturate, not wrap
+	// negative and pass as "ends before the shadow".
+	running := []sim.Running{run(100, 8, 0, 100)}
+	head := j(0, 10, 50)
+	huge := j(1, 2, math.MaxInt64)
+	s := NewEASYStarter()
+	if got := s.Pick([]*job.Job{head, huge}, 1, 2, running, 10); got != nil {
+		t.Errorf("Pick backfilled %v past the head's shadow", got)
+	}
+	c := Compose(NewFCFSOrder(string(OrderFCFS)), NewEASYStarter(), 10)
+	c.Submit(head, 0)
+	c.Submit(huge, 0)
+	if got := c.Startable(1, 2, running); len(got) != 0 {
+		t.Errorf("Startable backfilled %v past the head's shadow", got)
 	}
 }
 
