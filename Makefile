@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check build test vet lint fuzz-smoke race bench-smoke bench bench-compare stream-smoke serve-smoke serve-bench
+.PHONY: check build test vet lint fuzz-smoke race bench stream-smoke serve-smoke
 
 # Tier-1 gate: vet + lint + lint-budget + build + race-enabled tests +
-# fuzz smoke + bench smoke (see scripts/check.sh for the step list).
+# fuzz smoke + perfbench build/test + gofmt (see scripts/check.sh for
+# the step list).
 check:
 	./scripts/check.sh
 
@@ -36,20 +37,13 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
-# Perf-harness smoke run (tiny benchtime, no files written).
-bench-smoke:
-	$(GO) run ./cmd/bench -quick -out "" -out2 "" -out3 "" -out4 "" -out5 ""
-
-# Full perf harness: regenerates BENCH_1/2/3/4/5.json (see DESIGN.md §7,
-# §11, §12, §14).
+# The repo's benchmark (BENCHMARK.json): paper-grid, swf-stream and
+# serve-replay, each with its output checks and end-to-end metrics; the
+# last stdout line is one JSON object. perfbench has no default workload,
+# so this names all three and keeps every other option at its default
+# (see perfbench/main.go for --seed, --seconds and --trace).
 bench:
-	$(GO) run ./cmd/bench
-
-# Opt-in perf-regression gate: fresh quick bench run compared against
-# the committed BENCH_1/5.json on the shape-invariant tracked entries;
-# >25% ns/op regression fails (see cmd/benchcompare, DESIGN.md §14).
-bench-compare:
-	./scripts/bench-compare.sh
+	bash perfbench/run.sh --workload all
 
 # Million-job streaming run under a GOMEMLIMIT ceiling + 2-shard merge
 # cross-check against single-process output (see DESIGN.md §12).
@@ -61,9 +55,3 @@ stream-smoke:
 # (see DESIGN.md §15).
 serve-smoke:
 	./scripts/serve-smoke.sh
-
-# Service latency/overload experiment: regenerates BENCH_6.json — an
-# under-limit percentile run plus a 10x-overload run that must shed
-# with explicit bounded 429/503 responses (see DESIGN.md §15).
-serve-bench:
-	./scripts/serve-bench.sh

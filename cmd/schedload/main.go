@@ -7,11 +7,10 @@
 //
 //	schedload -addr host:port [-session load] [-jobs 10000] [-workers 8]
 //	          [-batch 16] [-users 4] [-nodes 256] [-advance-every 32]
-//	          [-no-retry] [-out bench.json] [-fingerprint] [-seed 1]
+//	          [-out bench.json] [-fingerprint] [-seed 1]
 //
-// With -no-retry, refused submissions are counted instead of retried —
-// the overload experiment uses this to assert shedding is explicit
-// (bounded 429/503 responses) rather than emergent (timeouts, resets).
+// Refused submissions (429/503) are retried after the daemon's
+// Retry-After and counted in the report's retries field.
 // With -fingerprint, the tool prints the session fingerprint and exits,
 // which the smoke script uses to compare pre-kill and post-recovery
 // state.
@@ -43,15 +42,13 @@ type jobSpec struct {
 }
 
 type report struct {
-	Jobs        int64   `json:"jobs"`
-	Batches     int64   `json:"batches"`
-	Admitted    int64   `json:"admitted"`
-	RateLimited int64   `json:"rate_limited_429"`
-	Shed        int64   `json:"shed_503"`
-	Errors      int64   `json:"errors"`
-	Retries     int64   `json:"retries"`
-	Seconds     float64 `json:"seconds"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
+	Jobs       int64   `json:"jobs"`
+	Batches    int64   `json:"batches"`
+	Admitted   int64   `json:"admitted"`
+	Errors     int64   `json:"errors"`
+	Retries    int64   `json:"retries"`
+	Seconds    float64 `json:"seconds"`
+	JobsPerSec float64 `json:"jobs_per_sec"`
 	// Latency percentiles are per admitted batch, milliseconds,
 	// end to end (queue wait + scheduling + WAL fsync).
 	P50ms float64 `json:"p50_ms"`
@@ -71,7 +68,6 @@ func main() {
 		users    = flag.Int("users", 4, "distinct user identities (admission is per user)")
 		nodes    = flag.Int("nodes", 256, "machine size when creating the session")
 		advEvery = flag.Int("advance-every", 32, "advance the clock after this many batches per worker (0 = never)")
-		noRetry  = flag.Bool("no-retry", false, "count 429/503 instead of honoring Retry-After")
 		out      = flag.String("out", "", "write the JSON report here ('-' or empty = stdout only)")
 		fpOnly   = flag.Bool("fingerprint", false, "print the session fingerprint and exit")
 		seed     = flag.Int64("seed", 1, "workload seed (same seed, same submission stream)")
@@ -95,7 +91,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	rep, err := drive(client, base, *session, *jobs, *workers, *batch, *users, *advEvery, *noRetry, *seed)
+	rep, err := drive(client, base, *session, *jobs, *workers, *batch, *users, *advEvery, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedload:", err)
 		os.Exit(1)
@@ -155,7 +151,7 @@ func fingerprint(client *http.Client, base, name string) (string, error) {
 }
 
 // drive runs the workers and aggregates the report.
-func drive(client *http.Client, base, session string, jobs, workers, batch, users, advEvery int, noRetry bool, seed int64) (*report, error) {
+func drive(client *http.Client, base, session string, jobs, workers, batch, users, advEvery int, seed int64) (*report, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -193,23 +189,18 @@ func drive(client *http.Client, base, session string, jobs, workers, batch, user
 						Estimate: int64(60 * (1 + r.Intn(240))),
 					}
 				}
-				lat, outcome, err := submit(client, base, session, user, specs, noRetry, &rep.Retries)
+				lat, outcome, err := submit(client, base, session, user, specs, &rep.Retries)
 				if err != nil {
 					firstErr.Store(err)
 					return
 				}
 				mu.Lock()
 				rep.Batches++
-				switch outcome {
-				case http.StatusOK:
+				if outcome == http.StatusOK {
 					rep.Admitted++
 					rep.Jobs += int64(n)
 					lats = append(lats, lat)
-				case http.StatusTooManyRequests:
-					rep.RateLimited++
-				case http.StatusServiceUnavailable:
-					rep.Shed++
-				default:
+				} else {
 					rep.Errors++
 				}
 				mu.Unlock()
@@ -242,9 +233,9 @@ func drive(client *http.Client, base, session string, jobs, workers, batch, user
 	return &rep, nil
 }
 
-// submit posts one batch, honoring Retry-After unless noRetry. Returns
-// the last attempt's latency in ms and its status code.
-func submit(client *http.Client, base, session, user string, specs []jobSpec, noRetry bool, retries *int64) (float64, int, error) {
+// submit posts one batch, honoring Retry-After on 429/503. Returns the
+// last attempt's latency in ms and its status code.
+func submit(client *http.Client, base, session, user string, specs []jobSpec, retries *int64) (float64, int, error) {
 	body, err := json.Marshal(map[string]any{"jobs": specs})
 	if err != nil {
 		return 0, 0, err
@@ -265,9 +256,6 @@ func submit(client *http.Client, base, session, user string, specs []jobSpec, no
 		status := resp.StatusCode
 		retryAfter := resp.Header.Get("Retry-After")
 		drainClose(resp)
-		if status == http.StatusOK || noRetry {
-			return lat, status, nil
-		}
 		if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 			return lat, status, nil
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"jobsched/internal/job"
-	"jobsched/internal/profile"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 )
@@ -36,19 +35,20 @@ func deepBacklogJobs(n int) []*job.Job {
 	return jobs
 }
 
-// TestDeepBacklogDeterminism is the 100k-queue gate for the batched
-// scheduling passes: over a backlog at least 100_000 jobs deep, the
-// rendered evaluation tables must be byte-identical across worker-pool
-// sizes (1 vs GOMAXPROCS) and across profile backends (the O(log S)
-// tree vs the brute-force reference oracle). It runs under -race in the
-// tier-1 race-focus step, so the pass buffers and scratch profiles the
-// batch path reuses are also checked for cross-goroutine sharing.
+// TestDeepBacklogDeterminism is the 100k-queue gate for the worker
+// pool: over a backlog at least 100_000 jobs deep, the rendered
+// evaluation tables must be byte-identical across worker-pool sizes
+// (1 vs GOMAXPROCS). It runs under -race in the tier-1 race-focus step,
+// so the pass buffers and scratch profiles the batch path reuses are
+// also checked for cross-goroutine sharing. The same backlog's
+// profile-backend leg (tree vs the brute-force reference) lives in
+// package sched, next to the backend seam (TestDeepBacklogBackendIndependence).
 func TestDeepBacklogDeterminism(t *testing.T) {
 	const n = 110_000
 	jobs := deepBacklogJobs(n)
 	m := sim.Machine{Nodes: 256}
 
-	render := func(workers int, factory sched.ProfileFactory) string {
+	render := func(workers int) string {
 		t.Helper()
 		g, err := Run("deep", m, jobs, Unweighted, Options{
 			Parallel:         true,
@@ -56,7 +56,6 @@ func TestDeepBacklogDeterminism(t *testing.T) {
 			MaxBackfillDepth: 4,
 			Orders:           []sched.OrderName{sched.OrderFCFS},
 			Starts:           []sched.StartName{sched.StartConservative, sched.StartEASY},
-			ProfileFactory:   factory,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -75,21 +74,9 @@ func TestDeepBacklogDeterminism(t *testing.T) {
 		return sb.String()
 	}
 
-	refFactory := func(nodes int, from int64) profile.Kernel {
-		return profile.NewReference(nodes, from)
-	}
-	want := render(1, nil)
-	for _, v := range []struct {
-		name    string
-		workers int
-		factory sched.ProfileFactory
-	}{
-		{"workers=N tree", runtime.GOMAXPROCS(0), nil},
-		{"workers=N reference", runtime.GOMAXPROCS(0), refFactory},
-	} {
-		if got := render(v.workers, v.factory); got != want {
-			t.Errorf("tables diverged for %s:\n--- workers=1 tree\n%s\n--- %s\n%s",
-				v.name, want, v.name, got)
-		}
+	want := render(1)
+	if got := render(runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("tables diverged for workers=N:\n--- workers=1\n%s\n--- workers=%d\n%s",
+			want, runtime.GOMAXPROCS(0), got)
 	}
 }

@@ -124,11 +124,6 @@ type Options struct {
 	// Orders/Starts override the paper grid (nil = paper grid).
 	Orders []sched.OrderName
 	Starts []sched.StartName
-	// ProfileFactory selects the scratch-profile backend of the
-	// profile-backed start policies (nil = the O(log S) tree kernel; see
-	// sched.Config.ProfileFactory). Schedules are backend-independent;
-	// the determinism tests assert byte-identical tables across kernels.
-	ProfileFactory sched.ProfileFactory
 	// Hooks, when non-nil, supplies per-cell telemetry attachment points
 	// (decision-trace recorder, profile op counters). It is called once
 	// per cell before construction; returning the zero Hooks disables
@@ -225,7 +220,6 @@ func Run(title string, m sim.Machine, jobs []*job.Job, c Case, opt Options) (*Gr
 		MaxBackfillDepth: opt.MaxBackfillDepth,
 		FastConservative: opt.FastConservative,
 		Announced:        opt.Announced,
-		ProfileFactory:   opt.ProfileFactory,
 	}
 
 	// simulateCell runs one cell to completion. Panics inside the

@@ -133,7 +133,7 @@ func TestScopeFiltering(t *testing.T) {
 		{"maprange", "testdata/maprange", "jobsched/cmd/render"},
 		{"checkedarith", "testdata/checkedarith", "jobsched/internal/stats"},
 		{"simpurity", "testdata/simpurity", "jobsched/internal/cli"},
-		{"wallclock", "testdata/wallclock", "jobsched/cmd/bench"},
+		{"wallclock", "testdata/wallclock", "jobsched/cmd/evaluate"},
 		{"passprotocol", "testdata/passprotocol", "jobsched/internal/profile"},
 		{"streamcontract", "testdata/streamcontract_sim", "jobsched/internal/stats"},
 		{"journalsync", "testdata/journalsync", "jobsched/internal/sim"},

@@ -11,8 +11,9 @@ const telemetryPkgPath = "jobsched/internal/telemetry"
 // TelemetryGuardAnalyzer returns the nil-recorder-gate analyzer: every
 // call through the telemetry.Recorder interface must be dominated by a
 // nil check on the same receiver expression. The nil-recorder fast path
-// is a measured property (cmd/bench, BENCH_2.json): tracing disabled
-// costs one branch per decision point. An unguarded rec.Record either
+// is a measured property (the untraced paper-grid jobs_per_s of
+// perfbench, gated by BENCHMARK.json): tracing disabled costs one branch
+// per decision point. An unguarded rec.Record either
 // panics on the nil path or forces the caller to keep a non-nil no-op
 // recorder alive — both regressions.
 //
@@ -51,7 +52,7 @@ func TelemetryGuardAnalyzer() *Analyzer {
 				return true
 			}
 			if !nilGuarded(recv, n, stack) {
-				pass.Reportf(call.Pos(), "%s.%s is not dominated by a `%s != nil` check: the nil-recorder fast path (BENCH_2.json gate) would panic or force allocation", recv, sel.Sel.Name, recv)
+				pass.Reportf(call.Pos(), "%s.%s is not dominated by a `%s != nil` check: the nil-recorder fast path would panic or force allocation", recv, sel.Sel.Name, recv)
 			}
 			return true
 		})

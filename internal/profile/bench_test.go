@@ -5,11 +5,16 @@ import (
 	"testing"
 )
 
+// The micros below measure the tree kernel (NewTree), the backend the
+// start policies' scratch profiles get in production. Below
+// treeSmallLimit steps a Tree runs on the array kernel, so the small
+// sizes measure that path and the 4096-reservation profiles measure
+// treap mode.
+
 // BenchmarkEarliestFit measures the core backfilling query against a
 // profile with many future reservations — the hot path of conservative
 // backfilling under deep backlog. The Reference variant runs the
-// brute-force oracle on the identical query stream: it is the "before"
-// number of BENCH_1.json.
+// brute-force oracle on the identical query stream.
 func BenchmarkEarliestFit(b *testing.B) {
 	for _, steps := range []int{16, 256, 4096} {
 		b.Run(name("steps", steps), func(b *testing.B) {
@@ -85,7 +90,7 @@ func BenchmarkReserveScratch(b *testing.B) {
 // BenchmarkConservativePass replays the inner loop of a conservative
 // backfilling pass: reset the scratch profile and place a whole synthetic
 // queue (EarliestFit + Reserve per job). This is the macro shape the
-// skip-ahead scan and edge coalescing optimize.
+// tree kernel's max-pruned descent and edge coalescing optimize.
 func BenchmarkConservativePass(b *testing.B) {
 	for _, queue := range []int{64, 512} {
 		b.Run(name("queue", queue), func(b *testing.B) {
@@ -98,7 +103,7 @@ func BenchmarkConservativePass(b *testing.B) {
 			for i := range jobs {
 				jobs[i] = jobShape{w: 1 + r.Intn(200), d: int64(60 + r.Intn(20000))}
 			}
-			p := New(256, 0)
+			p := NewTree(256, 0)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -112,9 +117,10 @@ func BenchmarkConservativePass(b *testing.B) {
 	}
 }
 
-// BenchmarkMinFreeMonotone measures the cursor fast path: MinFree probed
-// at monotonically increasing times, the access pattern of calendar
-// admission checks.
+// BenchmarkMinFreeMonotone measures MinFree probed at monotonically
+// increasing times, the access pattern of calendar admission checks.
+// The array kernel answers it from a cursor; treap mode has no cursor
+// and descends from the root on every probe.
 func BenchmarkMinFreeMonotone(b *testing.B) {
 	p := buildProfile(4096)
 	span := int64(1) // probe stride
@@ -146,8 +152,8 @@ func BenchmarkMinFreeMonotoneReference(b *testing.B) {
 	}
 }
 
-func buildProfile(reservations int) *Profile {
-	p := New(256, 0)
+func buildProfile(reservations int) *Tree {
+	p := NewTree(256, 0)
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < reservations; i++ {
 		w := 1 + r.Intn(64)

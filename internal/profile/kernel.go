@@ -6,13 +6,15 @@ import "jobsched/internal/job"
 // implementations in this package:
 //
 //   - Tree, the O(log S) balanced-tree kernel (the production default);
-//   - Profile, the array-backed skip-ahead kernel it replaced (kept as the
-//     perf baseline of cmd/bench's deep-backlog family); and
+//   - Profile, the array-backed skip-ahead kernel (Tree runs on it below
+//     treeSmallLimit steps, and the backend-independence tests swap it
+//     in whole); and
 //   - Reference, the brute-force oracle of the differential tests.
 //
 // Schedulers hold their scratch profiles through this interface so the
-// backend is swappable: the determinism tests run whole evaluation grids
-// against both Tree and Reference and require byte-identical tables.
+// backend is swappable: the backend-independence tests in package sched
+// run whole schedules against Tree, Profile and Reference and require
+// identical placements and start events.
 //
 // All three implementations realize the same canonical step function —
 // identical query results, identical String()/StepCount() after every

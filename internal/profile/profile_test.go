@@ -238,14 +238,14 @@ func TestEarliestFitPermanentlyBlockedTail(t *testing.T) {
 		nb   int64
 		want int64
 	}{
-		{3, 10, 0, 0},         // fits exactly in the free head [0,10)
-		{3, 11, 0, Infinity},  // needs the blocked tail: never
-		{3, 1, 20, Infinity},  // notBefore already inside the blocked tail
-		{2, 1000, 0, 0},       // narrow enough for the tail
-		{4, 10, 0, 0},         // whole machine, exactly the head window
-		{4, 11, 0, Infinity},  // whole machine, one second too long
-		{3, 10, 1, Infinity},  // shifted window clips into the tail
-		{1, Infinity, 5, 5},   // huge duration, narrow job: tail admits it
+		{3, 10, 0, 0},        // fits exactly in the free head [0,10)
+		{3, 11, 0, Infinity}, // needs the blocked tail: never
+		{3, 1, 20, Infinity}, // notBefore already inside the blocked tail
+		{2, 1000, 0, 0},      // narrow enough for the tail
+		{4, 10, 0, 0},        // whole machine, exactly the head window
+		{4, 11, 0, Infinity}, // whole machine, one second too long
+		{3, 10, 1, Infinity}, // shifted window clips into the tail
+		{1, Infinity, 5, 5},  // huge duration, narrow job: tail admits it
 		{3, Infinity, 0, Infinity},
 	}
 	for _, c := range cases {

@@ -74,7 +74,7 @@ type ReservedStarter struct {
 	// Reset recycles the step storage). Owned by one simulation goroutine.
 	// factory selects its backend (default: the O(log S) tree kernel).
 	scratch profile.Kernel
-	factory ProfileFactory
+	factory profileFactory
 	// stats counts the scratch profile's kernel ops (telemetry; may be nil).
 	stats *profile.Stats
 }
@@ -101,12 +101,12 @@ func (s *ReservedStarter) Instrument(h telemetry.Hooks) {
 	}
 }
 
-// SetProfileFactory implements ProfileBacked for the wrapper's own
+// setProfileFactory implements profileBacked for the wrapper's own
 // scratch profile and forwards the swap to the inner policy.
-func (s *ReservedStarter) SetProfileFactory(f ProfileFactory) {
+func (s *ReservedStarter) setProfileFactory(f profileFactory) {
 	s.factory, s.scratch = f, nil
-	if pb, ok := s.inner.(ProfileBacked); ok {
-		pb.SetProfileFactory(f)
+	if pb, ok := s.inner.(profileBacked); ok {
+		pb.setProfileFactory(f)
 	}
 }
 

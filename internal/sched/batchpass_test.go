@@ -165,7 +165,7 @@ func TestProfileBackendIndependence(t *testing.T) {
 	const nodes = 16
 	factories := []struct {
 		name string
-		f    ProfileFactory
+		f    profileFactory
 	}{
 		{"tree", nil},
 		{"array", func(n int, from int64) profile.Kernel { return profile.New(n, from) }},
@@ -180,7 +180,7 @@ func TestProfileBackendIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			alg.SetProfileFactory(fac.f)
+			alg.setProfileFactory(fac.f)
 			s, ev := runTraced(t, alg, jobs, nodes)
 			if fi == 0 {
 				baseSched, baseEv = scheduleFingerprint(s), ev
@@ -199,6 +199,83 @@ func TestProfileBackendIndependence(t *testing.T) {
 					t.Fatalf("%s: %s backend start event %d diverged\n%+v\nvs tree\n%+v",
 						tc.name, fac.name, i, ev[i], baseEv[i])
 				}
+			}
+		}
+	}
+}
+
+// startRecorder keeps only the start events of a decision trace, so a
+// 100k-job run holds one event per job rather than the whole trace.
+type startRecorder struct{ starts []telemetry.Event }
+
+func (r *startRecorder) Record(ev telemetry.Event) {
+	if ev.Type == telemetry.EventStart {
+		r.starts = append(r.starts, ev)
+	}
+}
+
+// TestDeepBacklogBackendIndependence is the deep-queue leg of
+// TestProfileBackendIndependence: a 110k-job backlog submitted at t=0
+// (every job waiting from the first pass; uniform runtimes keep the pass
+// count small, periodic machine-wide jobs force reservations) must
+// schedule identically — every placement and every start event — on the
+// tree kernel and on the brute-force reference, for FCFS with
+// depth-bounded conservative backfilling and with drain-aware EASY.
+func TestDeepBacklogBackendIndependence(t *testing.T) {
+	const n, nodes = 110_000, 256
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		w := 1 + (i*7)%8
+		if i%199 == 198 {
+			w = nodes
+		}
+		jobs[i] = &job.Job{ID: job.ID(i), Submit: 0, Nodes: w,
+			Runtime: 60, Estimate: 60 + int64(i%4)*30}
+	}
+	reference := func(n int, from int64) profile.Kernel { return profile.NewReference(n, from) }
+	for _, c := range []struct {
+		name  string
+		start StartName
+		cfg   Config
+	}{
+		{"FCFS/Backfilling-depth4", StartConservative, Config{MachineNodes: nodes, MaxBackfillDepth: 4}},
+		// EASY only keeps a scratch profile when drains are announced.
+		{"FCFS/EASY-Backfilling-drains", StartEASY, Config{MachineNodes: nodes,
+			Announced: []sim.Failure{{At: 3_000, Nodes: 128, Duration: 600}}}},
+	} {
+		run := func(f profileFactory) ([]sim.Allocation, []telemetry.Event) {
+			alg, err := New(OrderFCFS, c.start, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alg.setProfileFactory(f)
+			rec := &startRecorder{}
+			res, err := sim.Run(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg, sim.Options{Recorder: rec})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if res.MaxQueue < 100_000 {
+				t.Fatalf("%s: backlog only reached %d jobs, want >= 100000", c.name, res.MaxQueue)
+			}
+			return res.Schedule.Allocs, rec.starts
+		}
+		tree, treeEv := run(nil)
+		ref, refEv := run(reference)
+		if len(tree) != len(ref) || len(treeEv) != len(refEv) {
+			t.Fatalf("%s: tree has %d allocations and %d start events, reference %d and %d",
+				c.name, len(tree), len(treeEv), len(ref), len(refEv))
+		}
+		for i := range tree {
+			a, b := tree[i], ref[i]
+			if a.Job.ID != b.Job.ID || a.Start != b.Start || a.End != b.End || a.Killed != b.Killed {
+				t.Fatalf("%s: allocation %d diverged: tree job %d [%d,%d) vs reference job %d [%d,%d)",
+					c.name, i, a.Job.ID, a.Start, a.End, b.Job.ID, b.Start, b.End)
+			}
+		}
+		for i := range treeEv {
+			if treeEv[i] != refEv[i] {
+				t.Fatalf("%s: start event %d diverged\n%+v\nvs reference\n%+v",
+					c.name, i, treeEv[i], refEv[i])
 			}
 		}
 	}

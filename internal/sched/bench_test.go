@@ -95,6 +95,53 @@ func BenchmarkConservativePick(b *testing.B) {
 	}
 }
 
+// BenchmarkQueuePassNoFit measures ONE batched scheduling pass
+// (Composite.Startable) over a 20,000-job queue in which nothing fits
+// the 8 free nodes — the saturated-machine state a deep backlog spends
+// most of its time in. The index answers it in O(log Q) cursor descents
+// or one O(1) subtree-minimum lookup. Zero jobs start, so the pass is
+// repeatable without rebuilding state between iterations.
+func BenchmarkQueuePassNoFit(b *testing.B) {
+	const machine, free, queueLen = 256, 8, 20_000
+	// One wide job occupies the rest of the machine: EASY and
+	// conservative backfilling need a running set to place the head.
+	blocker := []sim.Running{{
+		Job:   &job.Job{ID: 1 << 30, Nodes: machine - free, Estimate: 3600, Runtime: 3600},
+		Start: 0, EstEnd: 3600,
+	}}
+	for _, c := range []struct {
+		name    string
+		o       OrderName
+		s       StartName
+		running []sim.Running
+	}{
+		{"GG-List", OrderGG, StartList, nil},
+		{"FCFS-EASY", OrderFCFS, StartEASY, blocker},
+		{"FCFS-Backfilling", OrderFCFS, StartConservative, blocker},
+	} {
+		b.Run(fmt.Sprintf("%s/queue=%d", c.name, queueLen), func(b *testing.B) {
+			alg, err := New(c.o, c.s, Config{MachineNodes: machine})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < queueLen; i++ {
+				alg.Submit(&job.Job{ID: job.ID(i), Submit: 0,
+					Nodes:    9 + (i*13)%(machine-8), // everything wider than free=8
+					Estimate: 600 + int64(i%7)*60, Runtime: 600}, 0)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			now := int64(1)
+			for i := 0; i < b.N; i++ {
+				if picked := alg.Startable(now, free, c.running); len(picked) != 0 {
+					b.Fatal("no-fit pass unexpectedly started jobs")
+				}
+				now++
+			}
+		})
+	}
+}
+
 // BenchmarkEngineFCFS measures raw simulator throughput (events/op) with
 // the cheapest scheduler.
 func BenchmarkEngineFCFS(b *testing.B) {

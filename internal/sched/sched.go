@@ -107,25 +107,26 @@ type IndexedStarter interface {
 	PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job
 }
 
-// ProfileFactory constructs a scratch availability profile. The default
-// (nil) builds the O(log S) tree kernel; tests and benches inject
-// profile.New (the array kernel) or profile.NewReference (the
-// brute-force oracle) to pin backend-independence of whole schedules.
-type ProfileFactory func(nodes int, from int64) profile.Kernel
+// profileFactory constructs a scratch availability profile. The default
+// (nil) builds the O(log S) tree kernel, the only production backend;
+// the package's tests inject profile.New (the array kernel) or
+// profile.NewReference (the brute-force oracle) to pin that whole
+// schedules are backend-independent.
+type profileFactory func(nodes int, from int64) profile.Kernel
 
 // makeScratch applies the factory default.
-func makeScratch(f ProfileFactory, nodes int, from int64) profile.Kernel {
+func makeScratch(f profileFactory, nodes int, from int64) profile.Kernel {
 	if f == nil {
 		return profile.NewTree(nodes, from)
 	}
 	return f(nodes, from)
 }
 
-// ProfileBacked is implemented by start policies that hold scratch
+// profileBacked is implemented by start policies that hold scratch
 // availability profiles and accept a backend swap. Swapping drops the
 // current scratch state (it is rebuilt per pass anyway).
-type ProfileBacked interface {
-	SetProfileFactory(f ProfileFactory)
+type profileBacked interface {
+	setProfileFactory(f profileFactory)
 }
 
 // Composite combines an Orderer and a Starter into a sim.Scheduler.
@@ -196,12 +197,12 @@ func Compose(order Orderer, start Starter, machineNodes int) *Composite {
 	return c
 }
 
-// SetProfileFactory swaps the start policy's scratch-profile backend
-// (no-op for policies without one). sched.New calls it with
-// Config.ProfileFactory; hand-composed schedulers may call it directly.
-func (c *Composite) SetProfileFactory(f ProfileFactory) {
-	if pb, ok := c.start.(ProfileBacked); ok {
-		pb.SetProfileFactory(f)
+// setProfileFactory swaps the start policy's scratch-profile backend
+// (no-op for policies without one). Only the backend-independence tests
+// call it.
+func (c *Composite) setProfileFactory(f profileFactory) {
+	if pb, ok := c.start.(profileBacked); ok {
+		pb.setProfileFactory(f)
 	}
 }
 
@@ -383,11 +384,6 @@ type Config struct {
 	// starting jobs the drain would abort. Empty keeps every policy's
 	// historical behavior bit-for-bit.
 	Announced []sim.Failure
-	// ProfileFactory selects the scratch availability-profile backend for
-	// profile-backed start policies. Nil uses the O(log S) tree kernel;
-	// differential tests inject the array kernel or the brute-force
-	// reference to pin that whole schedules are backend-independent.
-	ProfileFactory ProfileFactory
 }
 
 func (c Config) withDefaults() Config {
@@ -417,9 +413,6 @@ func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 		c.Instrument(cfg.Hooks)
 		if len(cfg.Announced) > 0 {
 			c.Announce(cfg.Announced)
-		}
-		if cfg.ProfileFactory != nil {
-			c.SetProfileFactory(cfg.ProfileFactory)
 		}
 		return c, nil
 	}
@@ -457,9 +450,6 @@ func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 	c.Instrument(cfg.Hooks)
 	if len(cfg.Announced) > 0 {
 		c.Announce(cfg.Announced)
-	}
-	if cfg.ProfileFactory != nil {
-		c.SetProfileFactory(cfg.ProfileFactory)
 	}
 	return c, nil
 }

@@ -102,7 +102,7 @@ func (d *decided) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {
 
 // ensureScratch reuses (after Reset) or creates a starter's scratch
 // profile with the configured backend, attaching the op counters.
-func ensureScratch(scratch profile.Kernel, f ProfileFactory, stats *profile.Stats, nodes int, now int64) profile.Kernel {
+func ensureScratch(scratch profile.Kernel, f profileFactory, stats *profile.Stats, nodes int, now int64) profile.Kernel {
 	if scratch == nil {
 		scratch = makeScratch(f, nodes, now)
 		scratch.SetStats(stats)
@@ -207,7 +207,7 @@ type EASYStarter struct {
 	// scratch is the reusable drain-aware availability profile (only
 	// allocated when windows are announced); factory selects its backend.
 	scratch profile.Kernel
-	factory ProfileFactory
+	factory profileFactory
 	// picked/runBuf are PickManyIndexed's reusable pass buffers.
 	picked []*job.Job
 	runBuf []sim.Running
@@ -236,8 +236,8 @@ func (s *EASYStarter) Instrument(h telemetry.Hooks) {
 // Announce implements FailureAware.
 func (s *EASYStarter) Announce(windows []sim.Failure) { s.announced = windows }
 
-// SetProfileFactory implements ProfileBacked.
-func (s *EASYStarter) SetProfileFactory(f ProfileFactory) { s.factory, s.scratch = f, nil }
+// setProfileFactory implements profileBacked.
+func (s *EASYStarter) setProfileFactory(f profileFactory) { s.factory, s.scratch = f, nil }
 
 // Pick implements Starter.
 func (s *EASYStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
@@ -439,7 +439,7 @@ type ConservativeStarter struct {
 	// is owned by one simulation goroutine, so this is not a race.
 	// factory selects the backend (default: the O(log S) tree kernel).
 	scratch profile.Kernel
-	factory ProfileFactory
+	factory profileFactory
 	// announced holds maintenance windows (FailureAware): each pass carves
 	// them out of the scratch profile, so reservations — and therefore
 	// start-now decisions — route around known drains.
@@ -483,8 +483,8 @@ func (s *ConservativeStarter) Instrument(h telemetry.Hooks) {
 	}
 }
 
-// SetProfileFactory implements ProfileBacked.
-func (s *ConservativeStarter) SetProfileFactory(f ProfileFactory) { s.factory, s.scratch = f, nil }
+// setProfileFactory implements profileBacked.
+func (s *ConservativeStarter) setProfileFactory(f profileFactory) { s.factory, s.scratch = f, nil }
 
 // Pick implements Starter.
 func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {

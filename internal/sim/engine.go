@@ -61,8 +61,8 @@ type Options struct {
 	// arrivals, starts (with the start-reason classification supplied by
 	// DecisionExplainer schedulers), finishes, failure aborts, capacity
 	// changes and per-query pass events. nil disables tracing at the
-	// cost of one branch per event (the nil-recorder fast path gated by
-	// cmd/bench).
+	// cost of one branch per event (the nil-recorder fast path whose
+	// throughput perfbench's untraced paper-grid run measures).
 	Recorder telemetry.Recorder
 }
 

@@ -245,4 +245,3 @@ func sortedReasonKeys(m map[Reason]int64) []Reason {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-

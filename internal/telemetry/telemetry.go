@@ -12,9 +12,11 @@
 // after the fact.
 //
 // Everything is opt-in. A nil Recorder in sim.Options and sched.Config
-// costs one pointer comparison per decision point — the bench harness
-// (cmd/bench, BENCH_2.json) gates that the disabled path stays within a
-// few percent of the untraced engine.
+// costs one pointer comparison per decision point. The benchmark
+// (`bash perfbench/run.sh`) measures its paper-grid jobs_per_s on that
+// disabled path, so a per-event cost there moves the gated end-to-end
+// number, and the telemetryguard lint keeps every Recorder call behind
+// its nil check.
 package telemetry
 
 // Type classifies a trace event.

@@ -3,6 +3,8 @@
 # Run via `make check` or directly: ./scripts/check.sh
 #
 # Steps (fail-fast; the failing step is named on exit):
+#   gofmt        gofmt -l over the root module and perfbench/ — any
+#                file it names is unformatted and fails the step
 #   vet          go vet ./... — the default analyzer suite
 #   vet-focus    go vet -copylocks -loopclosure -atomic ./... — the three
 #                analyzers whose findings have historically been
@@ -41,9 +43,10 @@
 #                budget — regressions on the seeded corpus and shallow
 #                mutations fail here; deep exploration is for manual
 #                `make fuzz` sessions
-#   bench-smoke  cmd/bench -quick: the perf harness still runs end to
-#                end (tiny benchtime, no BENCH_*.json written), and the
-#                telemetry nil-recorder gate holds (see cmd/bench)
+#   perfbench    (cd perfbench && go vet . && go test .) — the benchmark
+#                is its own module, so `./...` above never compiles it;
+#                this step catches an internal API change that would
+#                break the benchmark (well under a second)
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard
@@ -66,6 +69,14 @@ run() {
 	"$@"
 }
 
+step=gofmt
+echo "==> gofmt: gofmt -l *.go cmd examples internal perfbench"
+unformatted=$(gofmt -l *.go cmd examples internal perfbench)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 run vet go vet ./...
 run vet-focus go vet -copylocks -loopclosure -atomic ./...
 run lint go run ./cmd/jobschedlint ./...
@@ -79,9 +90,9 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileOps$' -fuzztime=500x ./inter
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileTree$' -fuzztime=500x ./internal/profile
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./internal/faults
 
-step=bench-smoke
-echo "==> bench-smoke: go run ./cmd/bench -quick"
-go run ./cmd/bench -quick -out "" -out2 "" -out3 "" -out4 "" -out5 "" >/dev/null
+step=perfbench
+echo "==> perfbench: go vet . && go test . (in perfbench/)"
+(cd perfbench && go vet . && go test .)
 
 run stream-smoke ./scripts/stream-smoke.sh
 run serve-smoke ./scripts/serve-smoke.sh
