@@ -22,6 +22,10 @@ import (
 // arithmetic on estimates the daemon accepts from clients (any positive
 // value), and a wrapped sum reads as a job that ends before the shadow
 // time, letting EASY backfill a job that runs forever ahead of its head.
+// internal/serve joined when its session started driving the engine's
+// sim.Cluster: it is where client-supplied int64s (estimate, runtime,
+// deadline, advance target) enter the program, and its start, end and
+// expiry instants cross into the simulator's time arithmetic.
 var checkedArithScope = []string{
 	"jobsched/internal/job",
 	"jobsched/internal/objective",
@@ -30,6 +34,7 @@ var checkedArithScope = []string{
 	"jobsched/internal/profile",
 	"jobsched/internal/queue",
 	"jobsched/internal/sched",
+	"jobsched/internal/serve",
 }
 
 // checkedArithHelpers are the saturating helpers in internal/job/arith.go

@@ -359,3 +359,62 @@ func TestSessionNameValidation(t *testing.T) {
 		t.Errorf("valid name refused: %v", err)
 	}
 }
+
+// TestSubmitReportsItsOwnClock: a submit response's clock is the clock
+// the submission was applied at (the job's recorded submit time), even
+// while another client advances the session concurrently.
+func TestSubmitReportsItsOwnClock(t *testing.T) {
+	srv, store := newTestServer(t, StoreOptions{}, ServerOptions{})
+	if w := doJSON(t, srv, "POST", "/v1/sessions", "", createRequest{Name: "m1", Config: Config{Nodes: 64}}); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	stop := make(chan struct{})
+	advanced := make(chan error, 1)
+	go func() {
+		for to := int64(1); ; to++ {
+			select {
+			case <-stop:
+				advanced <- nil
+				return
+			default:
+			}
+			if err := store.Advance(context.Background(), "m1", to); err != nil {
+				advanced <- err
+				return
+			}
+		}
+	}()
+	const n = 300
+	type reply struct{ id, clock int64 }
+	replies := make([]reply, 0, n)
+	for i := 0; i < n; i++ {
+		w := doJSON(t, srv, "POST", "/v1/sessions/m1/jobs", "alice", submitRequest{Jobs: []JobSpec{{Nodes: 1, Estimate: 5}}})
+		if w.Code != http.StatusOK {
+			close(stop)
+			t.Fatalf("submit %d: %d %s", i, w.Code, w.Body)
+		}
+		var sr submitResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
+			close(stop)
+			t.Fatal(err)
+		}
+		replies = append(replies, reply{sr.Results[0].ID, sr.Clock})
+	}
+	close(stop)
+	if err := <-advanced; err != nil {
+		t.Fatal(err)
+	}
+	wrong := 0
+	for _, r := range replies {
+		ji, err := store.Job("m1", r.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ji.Submit != r.clock {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d submit responses carried a clock other than the job's submit time", wrong, n)
+	}
+}

@@ -186,31 +186,7 @@ type jobState struct {
 	j      *job.Job // live core job (pending/running only)
 }
 
-// completionEvent and deadlineEvent are the session's two event heaps.
-type completionEvent struct {
-	at  int64
-	seq int
-	id  job.ID
-}
-
-type completionQueue []completionEvent
-
-func (h completionQueue) Len() int { return len(h) }
-func (h completionQueue) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h completionQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionQueue) Push(x any)   { *h = append(*h, x.(completionEvent)) }
-func (h *completionQueue) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
+// deadlineEvent is an entry of the session's deadline heap.
 type deadlineEvent struct {
 	at int64
 	id job.ID
@@ -235,7 +211,8 @@ func (h *deadlineQueue) Pop() any {
 }
 
 // Session is one machine's live scheduling state: a deterministic
-// logical-clock event engine around a sched.Composite. Its state is a
+// logical-clock event engine around a sched.Composite, driving the
+// simulator's sim.Cluster for its running jobs. Its state is a
 // pure function of the operation sequence (submit/advance), which is
 // the invariant WAL replay and snapshot restore rely on. A Session is
 // not safe for concurrent use; the per-session store worker is its
@@ -247,8 +224,10 @@ type Session struct {
 
 	clock    int64
 	nextID   int64
-	free     int
 	startSeq int
+	// cl holds free nodes, running jobs and their completions; startSeq
+	// numbers the starts it orders same-instant completions by.
+	cl sim.Cluster
 
 	jobs map[job.ID]*jobState
 	// pendingOrder is the arrival order of pending jobs (entries whose
@@ -256,8 +235,6 @@ type Session struct {
 	// the live ones.
 	pendingOrder []job.ID
 	pendingN     int
-	running      map[job.ID]*jobState
-	completions  completionQueue
 	deadlines    deadlineQueue
 	// retired is the bounded eviction ring over done/expired/shed jobs,
 	// oldest first.
@@ -274,8 +251,6 @@ type Session struct {
 	// transient hook could truncate a pass without the operation
 	// noticing, committing a state replay would not reproduce.
 	interrupt func() bool
-
-	runBuf []sim.Running
 }
 
 // NewSession builds an empty session. The config must already be
@@ -289,15 +264,15 @@ func NewSession(name string, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, rejectf("serve: %v", err)
 	}
-	return &Session{
-		name:    name,
-		cfg:     cfg,
-		sch:     sch,
-		free:    cfg.Nodes,
-		nextID:  1,
-		jobs:    make(map[job.ID]*jobState),
-		running: make(map[job.ID]*jobState),
-	}, nil
+	s := &Session{
+		name:   name,
+		cfg:    cfg,
+		sch:    sch,
+		nextID: 1,
+		jobs:   make(map[job.ID]*jobState),
+	}
+	s.cl.AddFree(cfg.Nodes)
+	return s, nil
 }
 
 // SetAudit installs the audit-trace recorder (nil = off).
@@ -318,7 +293,7 @@ func (s *Session) Name() string { return s.name }
 func (s *Session) Clock() int64 { return s.clock }
 
 // Counts returns (pending, running) job counts.
-func (s *Session) Counts() (pending, running int) { return s.pendingN, len(s.running) }
+func (s *Session) Counts() (pending, running int) { return s.pendingN, s.cl.Len() }
 
 // Agg returns the session's running totals.
 func (s *Session) Agg() Aggregates { return s.agg }
@@ -399,8 +374,8 @@ func (s *Session) Advance(to int64) error {
 			return ErrInterrupted
 		}
 		t := to
-		if s.completions.Len() > 0 && s.completions[0].at < t {
-			t = s.completions[0].at
+		if end, ok := s.cl.NextEnd(); ok && end < t {
+			t = end
 		}
 		if d, ok := s.earliestDeadline(); ok {
 			// Expiry takes effect the instant after the deadline: at the
@@ -410,9 +385,8 @@ func (s *Session) Advance(to int64) error {
 			}
 		}
 		s.clock = t
-		for s.completions.Len() > 0 && s.completions[0].at == t {
-			ev := heap.Pop(&s.completions).(completionEvent)
-			s.finish(ev.id, t)
+		for j := s.cl.Finish(t); j != nil; j = s.cl.Finish(t) {
+			s.finish(j, t)
 		}
 		s.expireDeadlines(t)
 		if err := s.runPasses(); err != nil {
@@ -465,24 +439,18 @@ func (s *Session) expireDeadlines(now int64) {
 	}
 }
 
-// finish delivers one completion: free the nodes, settle the record,
-// notify the scheduler.
-func (s *Session) finish(id job.ID, now int64) {
-	st := s.running[id]
-	if st == nil {
-		return
-	}
-	delete(s.running, id)
-	s.free += st.spec.Nodes
+// finish settles the record of a job the cluster just completed and
+// notifies the scheduler.
+func (s *Session) finish(j *job.Job, now int64) {
+	st := s.jobs[j.ID]
 	st.status = StatusDone
 	s.agg.Completed++
 	s.agg.SumResponse = job.AddSat(s.agg.SumResponse, st.end-st.submit)
-	j := st.j
 	st.j = nil
 	s.retire(st)
 	if s.audit != nil && !s.replaying {
 		s.audit.Record(telemetry.Event{Type: telemetry.EventFinish, At: now,
-			Job: int64(id), Nodes: st.spec.Nodes, Head: telemetry.None, Killed: j.Killed()})
+			Job: int64(j.ID), Nodes: j.Nodes, Head: telemetry.None, Killed: j.Killed()})
 	}
 	s.sch.JobFinished(j, now)
 }
@@ -494,64 +462,32 @@ func (s *Session) runPasses() error {
 		if stopNow(s.interrupt) {
 			return ErrInterrupted
 		}
-		starts := s.sch.Startable(s.clock, s.free, s.runningList())
+		starts := s.sch.Startable(s.clock, s.cl.Free(), s.cl.Running())
 		if len(starts) == 0 {
 			return nil
 		}
 		for _, j := range starts {
-			if j.Nodes > s.free {
-				return fmt.Errorf("serve: session %s: scheduler started %v with only %d nodes free", s.name, j, s.free)
-			}
 			st := s.jobs[j.ID]
 			if st == nil || st.status != StatusPending {
 				return fmt.Errorf("serve: session %s: scheduler started unknown or non-pending job %d", s.name, j.ID)
 			}
-			s.free -= j.Nodes
+			end := job.AddSat(s.clock, j.EffectiveRuntime())
+			if err := s.cl.Add(j, s.clock, end, s.startSeq); err != nil {
+				return fmt.Errorf("serve: session %s: scheduler: %w", s.name, err)
+			}
 			st.status = StatusRunning
 			st.start = s.clock
-			st.end = job.AddSat(s.clock, j.EffectiveRuntime())
+			st.end = end
 			st.seq = s.startSeq
 			s.startSeq++
 			s.pendingN--
-			s.running[j.ID] = st
-			heap.Push(&s.completions, completionEvent{at: st.end, seq: st.seq, id: j.ID})
 			s.agg.Started++
 			s.agg.SumWait = job.AddSat(s.agg.SumWait, st.start-st.submit)
 			if s.audit != nil && !s.replaying {
 				s.audit.Record(telemetry.Event{Type: telemetry.EventStart, At: s.clock,
-					Job: int64(j.ID), Nodes: j.Nodes, Free: s.free, Head: telemetry.None})
+					Job: int64(j.ID), Nodes: j.Nodes, Free: s.cl.Free(), Head: telemetry.None})
 			}
 			s.sch.JobStarted(j, s.clock)
-		}
-	}
-}
-
-// runningList snapshots the running set in ID order (the sim engine's
-// contract with Startable) into a reused buffer.
-func (s *Session) runningList() []sim.Running {
-	s.runBuf = s.runBuf[:0]
-	for _, id := range s.runningIDs() {
-		st := s.running[id]
-		s.runBuf = append(s.runBuf, sim.Running{Job: st.j, Start: st.start,
-			EstEnd: job.AddSat(st.start, st.spec.Estimate)})
-	}
-	return s.runBuf
-}
-
-// runningIDs returns the running job IDs sorted ascending.
-func (s *Session) runningIDs() []job.ID {
-	ids := make([]job.ID, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	return ids
-}
-
-func sortIDs(ids []job.ID) {
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
 		}
 	}
 }

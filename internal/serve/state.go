@@ -25,7 +25,7 @@ func (s *Session) Fingerprint() uint64 {
 	fp.Int(s.clock)
 	fp.Int(s.nextID)
 	fp.Int(int64(s.startSeq))
-	fp.Int(int64(s.free))
+	fp.Int(int64(s.cl.Free()))
 	fp.Int(s.agg.Submitted)
 	fp.Int(s.agg.Started)
 	fp.Int(s.agg.Completed)
@@ -67,9 +67,9 @@ func (s *Session) Fingerprint() uint64 {
 // runningByStart returns the running jobs in start order — the order
 // completion ties resolve in, and the canonical snapshot order.
 func (s *Session) runningByStart() []*jobState {
-	out := make([]*jobState, 0, len(s.running))
-	for _, id := range s.runningIDs() {
-		out = append(out, s.running[id])
+	out := make([]*jobState, 0, s.cl.Len())
+	for _, r := range s.cl.Running() {
+		out = append(out, s.jobs[r.Job.ID])
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
 	return out
@@ -146,15 +146,11 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 			submit: sj.Submit, start: sj.Start, end: sj.End, seq: sj.Seq}
 		st.j = &job.Job{ID: st.id, Name: sp.Name, User: sp.User, Nodes: sp.Nodes,
 			Submit: sj.Submit, Estimate: sp.Estimate, Runtime: sp.Runtime}
-		if s.free < sp.Nodes {
-			return nil, fmt.Errorf("serve: restore %s: running jobs oversubscribe the machine", snap.Name)
+		if err := s.cl.Add(st.j, st.start, st.end, st.seq); err != nil {
+			return nil, fmt.Errorf("serve: restore %s: running jobs oversubscribe the machine: %w", snap.Name, err)
 		}
-		s.free -= sp.Nodes
 		s.jobs[st.id] = st
-		s.running[st.id] = st
-		s.completions = append(s.completions, completionEvent{at: st.end, seq: st.seq, id: st.id})
 	}
-	fixCompletionHeap(&s.completions)
 
 	for _, sj := range snap.Retired {
 		sp := sj.Spec.normalized()
@@ -174,11 +170,6 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 			snap.Name, got, snap.Fingerprint)
 	}
 	return s, nil
-}
-
-// fixCompletionHeap re-establishes the heap invariant after bulk loads.
-func fixCompletionHeap(h *completionQueue) {
-	sort.Slice(*h, func(i, k int) bool { return h.Less(i, k) })
 }
 
 // fixDeadlineHeap re-establishes the heap invariant after bulk loads.

@@ -107,8 +107,9 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			st.closeAll()
 			return nil, fmt.Errorf("serve: recovering session %s: %w", name, err)
 		}
+		opt.logf("session %s recovered: clock=%d wal_seq=%d", name, h.sess.Clock(), h.wal.LastSeq())
+		go h.worker()
 		st.sessions[name] = h
-		opt.logf("session %s recovered: clock=%d wal_seq=%d", name, h.clockNow(), h.walSeqNow())
 	}
 	return st, nil
 }
@@ -156,6 +157,7 @@ func (s *Store) Create(name string, cfg Config) error {
 	if err != nil {
 		return err
 	}
+	go h.worker()
 	s.sessions[name] = h
 	return nil
 }
@@ -186,15 +188,21 @@ func (s *Store) Names() []string {
 // Submit enqueues a batch submission on the named session and waits for
 // its commit (applied + fsynced) or failure.
 func (s *Store) Submit(ctx context.Context, name string, specs []JobSpec) ([]SubmitResult, error) {
+	res, err := s.submit(ctx, name, specs)
+	return res.results, err
+}
+
+// submit is Submit that also returns the session clock the batch was
+// applied at.
+func (s *Store) submit(ctx context.Context, name string, specs []JobSpec) (workResult, error) {
 	h, err := s.get(name)
 	if err != nil {
-		return nil, err
+		return workResult{}, err
 	}
 	if s.isDraining() {
-		return nil, ErrDraining
+		return workResult{}, ErrDraining
 	}
-	res, err := h.do(ctx, &work{ctx: ctx, op: opSubmit, specs: specs})
-	return res.results, err
+	return h.do(ctx, &work{ctx: ctx, op: opSubmit, specs: specs})
 }
 
 // Advance moves the named session's clock, waiting for the commit.
@@ -307,7 +315,9 @@ type work struct {
 
 type workResult struct {
 	results []SubmitResult
-	err     error
+	// clock is the session clock a submit was applied at.
+	clock int64
+	err   error
 }
 
 // handle owns one session: a bounded intake queue feeding a single
@@ -339,8 +349,8 @@ type handle struct {
 	finErr error
 }
 
-// openHandle recovers the session from its directory and starts its
-// worker.
+// openHandle recovers the session from its directory; the caller
+// starts its worker.
 func openHandle(name, dir string, opt StoreOptions) (*handle, error) {
 	h := &handle{
 		name:   name,
@@ -366,7 +376,6 @@ func openHandle(name, dir string, opt StoreOptions) (*handle, error) {
 		return nil, err
 	}
 	h.sess, h.wal = sess, wal
-	go h.worker()
 	return h, nil
 }
 
@@ -485,18 +494,6 @@ func (h *handle) info() (SessionInfo, error) {
 		WALSeq:      h.wal.LastSeq(),
 		Fingerprint: fmt.Sprintf("%016x", h.sess.Fingerprint()),
 	}, nil
-}
-
-func (h *handle) clockNow() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sess.Clock()
-}
-
-func (h *handle) walSeqNow() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.wal.LastSeq()
 }
 
 // worker is the session's single writer: it drains the intake queue in
@@ -637,7 +634,7 @@ func (h *handle) applyOne(w *work) (res workResult, rec *Record, poison error) {
 			}
 			return workResult{err: err}, nil, err
 		}
-		return workResult{results: rs}, &Record{Op: opSubmit, At: h.sess.Clock(), Jobs: w.specs}, nil
+		return workResult{results: rs, clock: h.sess.Clock()}, &Record{Op: opSubmit, At: h.sess.Clock(), Jobs: w.specs}, nil
 	case opAdvance:
 		if err := h.sess.Advance(w.at); err != nil {
 			if errors.Is(err, ErrRejected) {

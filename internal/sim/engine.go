@@ -101,50 +101,6 @@ type Result struct {
 	LostJobs int
 }
 
-// completion is a pending job completion in the event heap.
-type completion struct {
-	at  int64
-	seq int // tie-break: start order
-	job *job.Job
-}
-
-type completionHeap []completion
-
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// newestRunning returns the most recently started running job (largest
-// start time, ties broken toward the larger ID for determinism), or nil
-// when nothing runs. Failure handling aborts the newest job first: it
-// has the least sunk work.
-func newestRunning(running map[job.ID]Running) *Running {
-	var best *Running
-	//lint:ignore maprange max-selection with a total tie-break on (Start, Job.ID): every iteration order yields the same victim, and sorting would allocate on the failure-handling path
-	for id := range running {
-		r := running[id]
-		if best == nil || r.Start > best.Start ||
-			(r.Start == best.Start && r.Job.ID > best.Job.ID) {
-			cp := r
-			best = &cp
-		}
-	}
-	return best
-}
-
 // Run simulates the scheduler on the job stream and returns the final
 // schedule. Jobs are delivered strictly in submission order; completions
 // interleave by time. The machine model is Example 5's: exclusive
@@ -240,27 +196,25 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 	}
 
 	var (
-		pending    completionHeap
-		free       = m.Nodes
-		nextEdge   = 0
-		startSeq   = 0
-		schedTime  time.Duration
-		runningBy  = make(map[job.ID]Running, 64)
-		runningSeq = make(map[job.ID]int, 64)
+		cl        Cluster
+		nextEdge  = 0
+		startSeq  = 0
+		schedTime time.Duration
 		// runningAlloc maps a running job to its allocation record so a
 		// failure abort can rewrite it in place (retained-schedule mode);
 		// openAlloc holds the not-yet-finalized allocation in sink mode.
 		runningAlloc map[job.ID]int
 		openAlloc    map[job.ID]Allocation
-		cancelled    = make(map[int]bool)
 		// resub holds backoff-delayed resubmissions (a second event source
-		// reusing the completion heap shape; seq is the abort order).
+		// reusing the Cluster's completion heap shape; seq is the abort
+		// order).
 		resub    completionHeap
 		resubSeq = 0
 		// attempts counts failure aborts per job (drives the resubmit
 		// budget, the backoff schedule and the trace Attempt field).
 		attempts map[job.ID]int
 	)
+	cl.AddFree(m.Nodes)
 	if len(failures) > 0 {
 		attempts = make(map[job.ID]int)
 	}
@@ -318,26 +272,13 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		schedTime += time.Since(t0)
 	}
 
-	// runningList snapshots the running set in ID order into a buffer
-	// reused across scheduling rounds. Schedulers must not retain the
-	// slice past the Startable call (the Scheduler contract); the engine
-	// rewrites it on the next round.
-	var runningBuf []Running
-	runningList := func() []Running {
-		runningBuf = runningBuf[:0]
-		for _, r := range runningBy {
-			runningBuf = append(runningBuf, r)
-		}
-		slices.SortFunc(runningBuf, func(a, b Running) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
-		return runningBuf
-	}
-
 	for {
 		nxt, err := peek()
 		if err != nil {
 			return nil, err
 		}
-		if nxt == nil && pending.Len() == 0 && nextEdge >= len(edges) && resub.Len() == 0 {
+		nextEnd, ending := cl.NextEnd()
+		if nxt == nil && !ending && nextEdge >= len(edges) && resub.Len() == 0 {
 			break
 		}
 		if opt.Interrupt != nil && opt.Interrupt() {
@@ -348,8 +289,8 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		if nxt != nil {
 			now = nxt.Submit
 		}
-		if pending.Len() > 0 && (now < 0 || pending[0].at < now) {
-			now = pending[0].at
+		if ending && (now < 0 || nextEnd < now) {
+			now = nextEnd
 		}
 		if nextEdge < len(edges) && (now < 0 || edges[nextEdge].at < now) {
 			// Failure edges only matter while work remains; a trailing
@@ -362,54 +303,45 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		}
 		if opt.MaxTime > 0 && now > opt.MaxTime {
 			return nil, fmt.Errorf("sim: clock passed MaxTime %d with %d jobs running and %d waiting",
-				opt.MaxTime, len(runningBy), s.QueueLen())
+				opt.MaxTime, cl.Len(), s.QueueLen())
 		}
 		res.Events++
 
 		// Deliver all completions at `now` first: resources freed at t are
-		// available to jobs started at t. Completions of failure-aborted
-		// attempts were cancelled and are skipped.
-		for pending.Len() > 0 && pending[0].at == now {
-			c := heap.Pop(&pending).(completion)
-			if cancelled[c.seq] {
-				delete(cancelled, c.seq)
-				continue
-			}
-			free += c.job.Nodes
-			delete(runningBy, c.job.ID)
-			delete(runningSeq, c.job.ID)
+		// available to jobs started at t. The Cluster skips the
+		// completions of failure-aborted attempts.
+		for j := cl.Finish(now); j != nil; j = cl.Finish(now) {
 			if sink != nil {
-				a := openAlloc[c.job.ID]
-				delete(openAlloc, c.job.ID)
+				a := openAlloc[j.ID]
+				delete(openAlloc, j.ID)
 				if err := emit(a); err != nil {
 					return nil, err
 				}
 			}
 			if rec != nil {
 				rec.Record(telemetry.Event{Type: telemetry.EventFinish, At: now,
-					Job: int64(c.job.ID), Nodes: c.job.Nodes, Head: telemetry.None,
-					Killed: c.job.Killed()})
+					Job: int64(j.ID), Nodes: j.Nodes, Head: telemetry.None,
+					Killed: j.Killed()})
 			}
-			timed(func() { s.JobFinished(c.job, now) })
+			timed(func() { s.JobFinished(j, now) })
 		}
 		// Apply failure edges at `now`: capacity drops abort the
 		// newest-started jobs until the survivors fit; repairs hand the
 		// nodes back. Edges were coalesced per timestamp, so only the net
 		// capacity change is applied.
 		for nextEdge < len(edges) && edges[nextEdge].at == now {
-			free += edges[nextEdge].delta
+			cl.AddFree(edges[nextEdge].delta)
 			if rec != nil {
 				rec.Record(telemetry.Event{Type: telemetry.EventCapacity, At: now,
 					Job: telemetry.None, Head: telemetry.None,
 					Delta: edges[nextEdge].delta})
 			}
 			nextEdge++
-			for free < 0 {
-				victim := newestRunning(runningBy)
-				if victim == nil {
+			for cl.Free() < 0 {
+				victim, ok := cl.AbortNewest()
+				if !ok {
 					return nil, fmt.Errorf("sim: failure at %d cannot be absorbed", now)
 				}
-				free += victim.Job.Nodes
 				// Rewrite the victim's allocation record: the attempt ends
 				// now, cut short. In sink mode the open allocation is
 				// finalized and emitted instead of rewritten in place.
@@ -430,9 +362,6 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 					}
 				}
 				res.AbortedAttempts++
-				cancelled[runningSeq[victim.Job.ID]] = true
-				delete(runningBy, victim.Job.ID)
-				delete(runningSeq, victim.Job.ID)
 				// Resubmit: the job restarts from scratch; its original
 				// submission time is kept so response metrics account the
 				// full delay. The resubmit policy may delay the retry
@@ -513,13 +442,13 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		// Let the scheduler start jobs until it declines.
 		for {
 			var starts []*job.Job
-			running := runningList()
+			running := cl.Running()
 			if rec != nil {
 				rec.Record(telemetry.Event{Type: telemetry.EventPass, At: now,
 					Job: telemetry.None, Head: telemetry.None,
-					Queue: s.QueueLen(), Free: free})
+					Queue: s.QueueLen(), Free: cl.Free()})
 			}
-			timed(func() { starts = s.Startable(now, free, running) })
+			timed(func() { starts = s.Startable(now, cl.Free(), running) })
 			// Poll between passes too: an interrupted scheduler may have
 			// abandoned its pass mid-walk and returned a truncated pick
 			// list; the run is being discarded, so none of it starts.
@@ -530,12 +459,11 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 				break
 			}
 			for _, j := range starts {
-				if j.Nodes > free {
-					return nil, fmt.Errorf("sim: scheduler %s started %v with only %d nodes free",
-						s.Name(), j, free)
-				}
-				free -= j.Nodes
 				end := job.AddSat(now, j.EffectiveRuntime())
+				if err := cl.Add(j, now, end, startSeq); err != nil {
+					return nil, fmt.Errorf("sim: scheduler %s: %w", s.Name(), err)
+				}
+				startSeq++
 				alloc := Allocation{Job: j, Start: now, End: end, Killed: j.Killed()}
 				if sink == nil {
 					runningAlloc[j.ID] = len(res.Schedule.Allocs)
@@ -543,13 +471,9 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 				} else {
 					openAlloc[j.ID] = alloc
 				}
-				runningBy[j.ID] = Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
-				runningSeq[j.ID] = startSeq
-				heap.Push(&pending, completion{at: end, seq: startSeq, job: j})
-				startSeq++
 				if rec != nil {
 					ev := telemetry.Event{Type: telemetry.EventStart, At: now,
-						Job: int64(j.ID), Nodes: j.Nodes, Free: free,
+						Job: int64(j.ID), Nodes: j.Nodes, Free: cl.Free(),
 						Head: telemetry.None}
 					if explainer != nil {
 						if d, ok := explainer.LastStartDecision(j); ok {

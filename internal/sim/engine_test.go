@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"jobsched/internal/job"
+	"jobsched/internal/telemetry"
 )
 
 // fifoScheduler is a minimal correct scheduler: strict FCFS greedy list.
@@ -245,4 +247,95 @@ func (s *runningProbe) Startable(now int64, free int, running []Running) []*job.
 		}
 	}
 	return s.fifoScheduler.Startable(now, free, running)
+}
+
+// scriptScheduler starts queued jobs strictly in a fixed ID order, as
+// many per pass as fit, so tests control the engine's start order.
+type scriptScheduler struct {
+	order  []job.ID
+	queued map[job.ID]*job.Job
+}
+
+func (s *scriptScheduler) Name() string { return "test-script" }
+func (s *scriptScheduler) Submit(j *job.Job, now int64) {
+	if s.queued == nil {
+		s.queued = make(map[job.ID]*job.Job)
+	}
+	s.queued[j.ID] = j
+}
+func (s *scriptScheduler) JobStarted(j *job.Job, now int64) {
+	delete(s.queued, j.ID)
+	s.order = s.order[1:]
+}
+func (s *scriptScheduler) JobFinished(j *job.Job, now int64) {}
+func (s *scriptScheduler) Startable(now int64, free int, running []Running) []*job.Job {
+	var out []*job.Job
+	for _, id := range s.order {
+		j := s.queued[id]
+		if j == nil || j.Nodes > free {
+			break
+		}
+		out = append(out, j)
+		free -= j.Nodes
+	}
+	return out
+}
+func (s *scriptScheduler) QueueLen() int { return len(s.queued) }
+
+// TestSameInstantCompletionsInStartOrder pins the completion tie-break:
+// jobs finishing at one instant reach the Sink and the EventFinish trace
+// in the order they started, whatever their IDs or start times.
+func TestSameInstantCompletionsInStartOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		jobs  []*job.Job
+		order []job.ID
+	}{
+		{
+			// One instant, one pass, start order unrelated to ID order.
+			name: "same-start",
+			jobs: []*job.Job{
+				mkJob(1, 0, 10, 10, 1), mkJob(2, 0, 10, 10, 1),
+				mkJob(3, 0, 10, 10, 1), mkJob(4, 0, 10, 10, 1),
+			},
+			order: []job.ID{3, 1, 4, 2},
+		},
+		{
+			// Different start instants, one end instant: job 2 starts
+			// first, job 1 later, both end at 10.
+			name: "staggered-start",
+			jobs: []*job.Job{
+				mkJob(2, 0, 10, 10, 1), mkJob(1, 5, 5, 5, 1),
+			},
+			order: []job.ID{2, 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sunk []job.ID
+			var rec telemetry.Buffer
+			opt := Options{
+				Sink:     sinkFunc(func(a Allocation) error { sunk = append(sunk, a.Job.ID); return nil }),
+				Recorder: &rec,
+			}
+			s := &scriptScheduler{order: append([]job.ID(nil), tc.order...)}
+			if _, err := Run(Machine{Nodes: 4}, tc.jobs, s, opt); err != nil {
+				t.Fatal(err)
+			}
+			var finished []job.ID
+			for _, ev := range rec.Events() {
+				if ev.Type == telemetry.EventFinish {
+					if ev.At != 10 {
+						t.Fatalf("job %d finished at %d, want 10", ev.Job, ev.At)
+					}
+					finished = append(finished, job.ID(ev.Job))
+				}
+			}
+			if !slices.Equal(sunk, tc.order) {
+				t.Errorf("sink order %v, want start order %v", sunk, tc.order)
+			}
+			if !slices.Equal(finished, tc.order) {
+				t.Errorf("EventFinish order %v, want start order %v", finished, tc.order)
+			}
+		})
+	}
 }
